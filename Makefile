@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-gate fmt vet serve-smoke chaos-smoke slo-smoke shard-smoke learn-smoke learn-shard-smoke trace-overhead ci
+.PHONY: build test race bench bench-gate bench-e2e fmt vet serve-smoke chaos-smoke slo-smoke shard-smoke learn-smoke learn-shard-smoke trace-overhead ci
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,12 @@ bench:
 ## serve speedup below 1.5x. Tunables: FLIP_BUDGET, MIN_SPEEDUP, BENCHTIME.
 bench-gate:
 	./scripts/bench_gate.sh
+
+## bench-e2e: the end-to-end latency gate — the benchmark module's tests
+## plus a 4 s mixed-rack against the real adrias-serve; fails unless the
+## output is correct, nothing failed, and p50 < 1 ms (MAX_P50_MS).
+bench-e2e:
+	./scripts/bench_e2e.sh
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -80,4 +86,4 @@ learn-shard-smoke:
 trace-overhead:
 	./scripts/trace_overhead.sh
 
-ci: build fmt vet test race bench bench-gate serve-smoke chaos-smoke slo-smoke shard-smoke learn-smoke learn-shard-smoke trace-overhead
+ci: build fmt vet test race bench bench-gate bench-e2e serve-smoke chaos-smoke slo-smoke shard-smoke learn-smoke learn-shard-smoke trace-overhead

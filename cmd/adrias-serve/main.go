@@ -15,10 +15,9 @@
 // Usage:
 //
 //	adrias-serve [-listen 127.0.0.1:7700] [-models dir] [-beta 0.8]
-//	             [-batch-window 2ms] [-max-batch 64] [-queue 256]
-//	             [-timeout 2s] [-tick 1s] [-sim-per-tick 1] [-ambient 0.08]
-//	             [-drain 10s] [-seed 1] [-debug-addr 127.0.0.1:7701]
-//	             [-bus-addr 127.0.0.1:7601]
+//	             [-max-batch 64] [-queue 256] [-timeout 2s] [-tick 1s]
+//	             [-sim-per-tick 1] [-ambient 0.08] [-drain 10s] [-seed 1]
+//	             [-debug-addr 127.0.0.1:7701] [-bus-addr 127.0.0.1:7601]
 //	             [-fault-spec "predict-error@4+40;fabric-flap@8+24"]
 //	             [-breaker-threshold 5] [-breaker-cooldown 10] [-no-breaker]
 //	             [-quantized] [-learn] [-learn-drift-threshold 0.35]
@@ -103,7 +102,6 @@ func main() {
 	modelsDir := flag.String("models", "", "directory of pre-trained models (empty: train fast models now)")
 	beta := flag.Float64("beta", 0.8, "BE slack parameter β (must be > 0)")
 	qosFactor := flag.Float64("qos-factor", 20, "LC p99 target = BaseP50Ms × factor (0 disables LC offloading)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "admission coalescing window (negative: no wait)")
 	maxBatch := flag.Int("max-batch", 64, "max requests per coalesced batch")
 	queueDepth := flag.Int("queue", 256, "admission queue depth (full queue → 429)")
 	timeout := flag.Duration("timeout", 2*time.Second, "default per-request deadline")
@@ -254,7 +252,6 @@ func main() {
 		fmt.Println("online learning loop armed (drift-triggered retrain, shadow eval, hot swap)")
 	}
 	svc := serve.NewService(eng, serve.Config{
-		BatchWindow:    *batchWindow,
 		MaxBatch:       *maxBatch,
 		QueueDepth:     *queueDepth,
 		DefaultTimeout: *timeout,

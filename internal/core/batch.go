@@ -23,18 +23,23 @@ type PerfQuery struct {
 }
 
 // PredictPerfBatch answers many queries against one shared history window.
-// The future system state Ŝ is propagated once through the system-state
-// model and reused by every query, and each class's queries run as one
-// minibatch through that performance model's lockstep-batched inference —
-// the admission-batching fast path: N coalesced placement requests cost
-// one Ŝ forecast plus two batched model calls instead of up to 3·N single
-// inferences, and repeated inputs (the shared window, each app's
-// signature asked for both tiers) are encoded once. Results and errors are per-query; a failing query (e.g. an
-// app with no signature) does not abort the others.
+// Queries already asked against this window are answered from the
+// predictor's memo (predMemo; bit-identical, the models are deterministic
+// per sample); for the rest the future system state Ŝ is propagated once
+// through the system-state model and reused by every query, and each
+// class's queries run as one minibatch through that performance model's
+// lockstep-batched inference — the admission-batching fast path: N coalesced
+// placement requests cost one Ŝ forecast plus two batched model calls
+// instead of up to 3·N single inferences, and repeated inputs (the shared
+// window, each app's signature asked for both tiers) are encoded once.
+// Results and errors are per-query; a failing query (e.g. an app with no
+// signature) does not abort the others.
 //
 // When ctx carries an obs.SpanRecorder, the Ŝ forecast and the performance
 // inference are recorded as the "sysstate_predict" and "perf_predict"
-// stages; without one the instrumentation is a no-op.
+// stages — for batches that compute something; a batch answered wholly from
+// the memo records neither. Without a recorder the instrumentation is a
+// no-op.
 func (p *Predictor) PredictPerfBatch(ctx context.Context, queries []PerfQuery, window []mathx.Vector) (mathx.Vector, []error) {
 	preds := mathx.NewVector(len(queries))
 	errs := make([]error, len(queries))
@@ -48,13 +53,18 @@ func (p *Predictor) PredictPerfBatch(ctx context.Context, queries []PerfQuery, w
 		}
 		return preds, errs
 	}
+	miss := p.memo.lookup(p.Memo, p.Sigs, window, queries, preds)
+	if len(miss) == 0 {
+		return preds, errs
+	}
 	endSys := obs.StartSpan(ctx, "sysstate_predict")
 	fut := p.Sys.Predict(window)
 	endSys()
 
 	var beSamples, lcSamples []models.PerfSample
 	var beIdx, lcIdx []int
-	for i, q := range queries {
+	for _, i := range miss {
+		q := queries[i]
 		remote := 0.0
 		if q.Tier == memsys.TierRemote {
 			remote = 1
@@ -93,6 +103,7 @@ func (p *Predictor) PredictPerfBatch(ctx context.Context, queries []PerfQuery, w
 	scatter(p.BE, beSamples, beIdx, ClassBE)
 	scatter(p.LC, lcSamples, lcIdx, ClassLC)
 	endPerf()
+	p.memo.store(queries, miss, preds, errs)
 	return preds, errs
 }
 

@@ -26,6 +26,12 @@ type QuantPredictor struct {
 	BE  *models.QuantPerfModel
 	LC  *models.QuantPerfModel
 
+	// sigs and stats key and count the memo (see Predictor.PredictPerfBatch);
+	// both come from the float predictor this twin was frozen from.
+	sigs  *models.SignatureStore
+	stats *MemoStats
+	memo  predMemo
+
 	fut          mathx.Vector
 	preds        mathx.Vector
 	errs         []error
@@ -40,8 +46,10 @@ type QuantPredictor struct {
 // on the float path).
 func NewQuantPredictor(p *Predictor) *QuantPredictor {
 	q := &QuantPredictor{
-		Sys: models.QuantizeSysState(p.Sys),
-		fut: mathx.NewVector(memsys.NumMetrics),
+		Sys:   models.QuantizeSysState(p.Sys),
+		sigs:  p.Sigs,
+		stats: p.Memo,
+		fut:   mathx.NewVector(memsys.NumMetrics),
 	}
 	if p.BE != nil {
 		q.BE = models.QuantizePerf(p.BE)
@@ -52,9 +60,10 @@ func NewQuantPredictor(p *Predictor) *QuantPredictor {
 	return q
 }
 
-// PredictPerfBatch implements PerfInference over the quantized models: one
-// int8 Ŝ forecast shared by every query, then one batched int8 inference
-// per class. Results and errors are per-query and arena-owned.
+// PredictPerfBatch implements PerfInference over the quantized models:
+// memo hits first, then for the missed queries one int8 Ŝ forecast shared by
+// all of them and one batched int8 inference per class. Results and errors
+// are per-query and arena-owned.
 func (p *QuantPredictor) PredictPerfBatch(ctx context.Context, queries []PerfQuery, window []mathx.Vector) (mathx.Vector, []error) {
 	n := len(queries)
 	if cap(p.preds) < n {
@@ -79,13 +88,18 @@ func (p *QuantPredictor) PredictPerfBatch(ctx context.Context, queries []PerfQue
 		}
 		return p.preds, p.errs
 	}
+	miss := p.memo.lookup(p.stats, p.sigs, window, queries, p.preds)
+	if len(miss) == 0 {
+		return p.preds, p.errs
+	}
 	endSys := obs.StartSpan(ctx, "sysstate_predict")
 	p.Sys.PredictInto(p.fut, window)
 	endSys()
 
 	p.beS, p.lcS = p.beS[:0], p.lcS[:0]
 	p.beIdx, p.lcIdx = p.beIdx[:0], p.lcIdx[:0]
-	for i, q := range queries {
+	for _, i := range miss {
+		q := queries[i]
 		remote := 0.0
 		if q.Tier == memsys.TierRemote {
 			remote = 1
@@ -108,6 +122,7 @@ func (p *QuantPredictor) PredictPerfBatch(ctx context.Context, queries []PerfQue
 	p.scatter(p.BE, p.beS, p.beIdx, ClassBE)
 	p.scatter(p.LC, p.lcS, p.lcIdx, ClassLC)
 	endPerf()
+	p.memo.store(queries, miss, p.preds, p.errs)
 	return p.preds, p.errs
 }
 

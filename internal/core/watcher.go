@@ -99,12 +99,37 @@ func (w *Watcher) TraceBetween(c *cluster.Cluster, from, to float64) []mathx.Vec
 }
 
 // Predictor bundles the trained models and the signature store — the
-// stacked-LSTM component of Fig. 7.
+// stacked-LSTM component of Fig. 7. Like its models it serves one caller at
+// a time. PredictPerfBatch remembers answers per window (predMemo), so a
+// Predictor's models are frozen once it predicts: to serve retrained or
+// reloaded weights build a new Predictor value, as the learning loop does.
 type Predictor struct {
 	Sys  *models.SysStateModel
 	BE   *models.PerfModel // universal best-effort model (target: exec time)
 	LC   *models.PerfModel // universal latency-critical model (target: p99)
 	Sigs *models.SignatureStore
+	// Memo, when set, counts PredictPerfBatch's memo hits and misses;
+	// NewQuantPredictor hands it on to the int8 twin.
+	Memo *MemoStats
+
+	memo predMemo
+}
+
+// Clone copies the models for another caller's exclusive use (a replica
+// shard's decider). The signature store and the memo counters stay shared;
+// the memo itself starts empty.
+func (p *Predictor) Clone() *Predictor {
+	c := &Predictor{Sigs: p.Sigs, Memo: p.Memo}
+	if p.Sys != nil {
+		c.Sys = p.Sys.Clone()
+	}
+	if p.BE != nil {
+		c.BE = p.BE.Clone()
+	}
+	if p.LC != nil {
+		c.LC = p.LC.Clone()
+	}
+	return c
 }
 
 // PredictPerf estimates the performance of deploying app (identified by its

@@ -507,7 +507,7 @@ func (l *Loop) verdict(now float64) {
 // signature-store rebinding cannot race with in-situ captures.
 func (l *Loop) promote(now, liveErr, candErr, flipRate float64) {
 	l.cand.Rebind(l.live.Sigs)
-	next := &core.Predictor{Sys: l.live.Sys, BE: l.live.BE, LC: l.live.LC, Sigs: l.live.Sigs}
+	next := &core.Predictor{Sys: l.live.Sys, BE: l.live.BE, LC: l.live.LC, Sigs: l.live.Sigs, Memo: l.live.Memo}
 	if l.candClass == workload.LatencyCritical {
 		next.LC = l.cand
 	} else {

@@ -20,6 +20,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"adrias/internal/cluster"
 	"adrias/internal/mathx"
@@ -41,6 +42,9 @@ type Signature struct {
 type SignatureStore struct {
 	mu   sync.RWMutex
 	sigs map[string]Signature
+	// ver counts content changes (Put, Load), bumped under mu after the
+	// change is in place.
+	ver atomic.Uint64
 	// SeqLen is the fixed number of steps every signature is resampled to.
 	SeqLen int
 }
@@ -61,6 +65,12 @@ func (s *SignatureStore) Has(name string) bool {
 	return ok
 }
 
+// Version returns a counter that moves on every Put and Load. A reader that
+// sees the same version before two reads of the store saw the same
+// contents, so results derived from signatures can be remembered against
+// it (core's prediction memo does) without taking the lock.
+func (s *SignatureStore) Version() uint64 { return s.ver.Load() }
+
 // Get returns the signature for name.
 func (s *SignatureStore) Get(name string) (Signature, bool) {
 	s.mu.RLock()
@@ -77,6 +87,7 @@ func (s *SignatureStore) Put(name string, trace []mathx.Vector) error {
 	sig := Signature{Name: name, Steps: ResampleSeq(trace, s.SeqLen)}
 	s.mu.Lock()
 	s.sigs[name] = sig
+	s.ver.Add(1)
 	s.mu.Unlock()
 	return nil
 }
@@ -152,6 +163,7 @@ func (s *SignatureStore) Load(r io.Reader) error {
 		}
 		s.sigs[name] = Signature{Name: name, Steps: steps}
 	}
+	s.ver.Add(1)
 	return nil
 }
 

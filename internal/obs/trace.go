@@ -73,10 +73,21 @@ func (r *SpanRecorder) Add(name string, start time.Time, dur time.Duration) {
 }
 
 // Spans returns a copy of the recorded spans in recording order.
-func (r *SpanRecorder) Spans() []Span {
+func (r *SpanRecorder) Spans() []Span { return r.AppendTo(nil) }
+
+// AppendTo appends the recorded spans to dst in recording order.
+func (r *SpanRecorder) AppendTo(dst []Span) []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Span(nil), r.spans...)
+	return append(dst, r.spans...)
+}
+
+// Reset forgets the recorded spans and keeps their storage, so one recorder
+// can serve batch after batch.
+func (r *SpanRecorder) Reset() {
+	r.mu.Lock()
+	r.spans = r.spans[:0]
+	r.mu.Unlock()
 }
 
 type recorderKey struct{}

@@ -135,6 +135,12 @@ type SystemEngine struct {
 	// EngineConfig.Learn is set.
 	base    *core.SwappableInference
 	learner *learn.Loop
+	// memo counts prediction-memo hits and misses across every predictor this
+	// engine serves from: its own, each shard's clone, each promoted
+	// generation (they inherit the pointer through core.Predictor.Memo).
+	memo core.MemoStats
+	// ambientApps is pickAmbient's non-iBench draw pool (Spark then LC).
+	ambientApps []*workload.Profile
 
 	// nodes is the rack (nodes[0] == cl, the legacy single-node alias). All
 	// live node state is guarded by mu — the commit sequencer; replica
@@ -221,16 +227,21 @@ func NewSystemEngine(pred *core.Predictor, watch *core.Watcher, reg *workload.Re
 	}
 
 	e := &SystemEngine{
-		orch:   core.NewOrchestrator(pred, watch, cfg.Beta),
-		watch:  watch,
-		reg:    reg,
-		cl:     nodes[0],
-		nodes:  nodes,
-		sigs:   NewSignatureCache(pred.Sigs, cfg.NegSigTTL),
-		rng:    randutil.New(cfg.Seed).Split(0x5e7),
-		cfg:    cfg,
-		events: cfg.Events,
+		watch:       watch,
+		reg:         reg,
+		cl:          nodes[0],
+		nodes:       nodes,
+		sigs:        NewSignatureCache(pred.Sigs, cfg.NegSigTTL),
+		rng:         randutil.New(cfg.Seed).Split(0x5e7),
+		cfg:         cfg,
+		events:      cfg.Events,
+		ambientApps: append(append([]*workload.Profile(nil), reg.Spark()...), reg.LC()...),
 	}
+	// The engine serves from its own Predictor value over the caller's
+	// models: the prediction memo and its counters are then this engine's,
+	// not shared with whoever else holds the caller's value.
+	pred = &core.Predictor{Sys: pred.Sys, BE: pred.BE, LC: pred.LC, Sigs: pred.Sigs, Memo: &e.memo}
+	e.orch = core.NewOrchestrator(pred, watch, cfg.Beta)
 	if cfg.QoSFactor > 0 {
 		for _, p := range reg.LC() {
 			e.orch.QoSMs[p.Name] = p.BaseP50Ms * cfg.QoSFactor
@@ -246,28 +257,14 @@ func NewSystemEngine(pred *core.Predictor, watch *core.Watcher, reg *workload.Re
 			e.captureOutcome(c, in)
 		}
 	}
-	// Degradation stack over the prediction path: the swappable slot at the
-	// bottom (the learning loop's hot-swap point), fault injection closest
-	// to the model, then the circuit breaker + last-good cache on top, so
-	// the breaker sees injected failures exactly as it would real ones.
-	var inner core.PerfInference = pred
-	if cfg.Quantized {
-		inner = core.NewQuantPredictor(pred)
-	}
-	e.base = core.NewSwappableInference(inner)
-	var infer core.PerfInference = e.base
-	if cfg.Faults != nil {
-		infer = &faults.FaultyPredictor{Inner: infer, Inj: cfg.Faults}
-	}
 	if !cfg.DisableBreaker {
 		bcfg := cfg.Breaker
 		if bcfg.Clock == nil {
 			bcfg.Clock = e.SimNow
 		}
 		e.brk = faults.NewBreaker(bcfg)
-		infer = faults.NewGuardedPredictor(infer, e.brk)
 	}
-	e.orch.Infer = infer
+	e.base, e.orch.Infer = e.inferStack(pred)
 	if cfg.Learn != nil {
 		e.learner = learn.New(*cfg.Learn, learn.Deps{
 			Base:      e.base,
@@ -315,6 +312,33 @@ func NewSystemEngine(pred *core.Predictor, watch *core.Watcher, reg *workload.Re
 	}
 	e.view.Store(e.buildView())
 	return e
+}
+
+// inferStack assembles one decider's prediction path over pred, bottom to
+// top: the model (its int8 twin when serving quantized) in a swappable slot
+// — the hot-swap point: the learning loop retargets the engine's, a shard
+// retargets its own when it re-clones — then fault injection closest to the
+// model, then the circuit breaker + last-good cache, so the breaker sees
+// injected failures exactly as it would real ones. The injector and the
+// breaker are the engine's, shared by every stack (both concurrency-safe).
+func (e *SystemEngine) inferStack(pred *core.Predictor) (*core.SwappableInference, core.PerfInference) {
+	base := core.NewSwappableInference(e.bottomInference(pred))
+	var infer core.PerfInference = base
+	if e.cfg.Faults != nil {
+		infer = &faults.FaultyPredictor{Inner: infer, Inj: e.cfg.Faults}
+	}
+	if e.brk != nil {
+		infer = faults.NewGuardedPredictor(infer, e.brk)
+	}
+	return base, infer
+}
+
+// bottomInference is what sits in a stack's slot for pred.
+func (e *SystemEngine) bottomInference(pred *core.Predictor) core.PerfInference {
+	if e.cfg.Quantized {
+		return core.NewQuantPredictor(pred)
+	}
+	return pred
 }
 
 // captureSignature stores an in-situ signature for a cold-started app that
@@ -781,8 +805,7 @@ func (e *SystemEngine) pickAmbient() *workload.Profile {
 		ib := e.reg.IBench()
 		return ib[e.rng.Intn(len(ib))]
 	}
-	apps := append(append([]*workload.Profile(nil), e.reg.Spark()...), e.reg.LC()...)
-	return apps[e.rng.Intn(len(apps))]
+	return e.ambientApps[e.rng.Intn(len(e.ambientApps))]
 }
 
 // Signatures exposes the engine's signature read cache (safe concurrent
@@ -863,6 +886,8 @@ func (e *SystemEngine) RegisterMetrics(m *Metrics) {
 		h, ms := e.sigs.Stats()
 		obs.WriteCounter(w, "adrias_serve_sigcache_hits_total", "Signature-cache hits.", uint64(h))
 		obs.WriteCounter(w, "adrias_serve_sigcache_misses_total", "Signature-cache misses.", uint64(ms))
+		obs.WriteCounter(w, "adrias_serve_predict_memo_hits_total", "Prediction queries answered from the per-window memo (engine + shards); no model ran for these.", e.memo.Hits.Load())
+		obs.WriteCounter(w, "adrias_serve_predict_memo_misses_total", "Prediction queries the models computed (engine + shards). adrias_models_* and the sysstate_predict/perf_predict spans describe these batches only.", e.memo.Misses.Load())
 		degraded := 0.0
 		if s.Degraded {
 			degraded = 1

@@ -154,40 +154,32 @@ func TestSystemEngineEndToEnd(t *testing.T) {
 
 func TestSystemEngineThroughService(t *testing.T) {
 	eng := tinyEngine(t, EngineConfig{Seed: 11})
-	svc := NewService(eng, Config{BatchWindow: 10 * time.Millisecond, MaxBatch: 32})
+	svc := NewService(eng, Config{MaxBatch: 32})
 	defer closeAll(t, svc)
 
+	// Hold the engine's lock while the requests are admitted: the batcher
+	// stalls inside its first PlaceBatch, the rest queue behind it, and the
+	// real engine then decides them as one coalesced batch.
 	apps := []string{"gmm", "pagerank", "redis", "wordcount", "kmeans"}
-	var wg sync.WaitGroup
-	errs := make([]error, 24)
-	for i := 0; i < len(errs); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = svc.Place(context.Background(),
-				PlaceRequest{App: apps[i%len(apps)], DryRun: true})
-		}(i)
+	eng.mu.Lock()
+	all := make([]*pending, 24)
+	for i := range all {
+		all[i] = admit(t, svc, context.Background(), PlaceRequest{App: apps[i%len(apps)], DryRun: true})
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("place %d: %v", i, err)
+	eng.mu.Unlock()
+	for i, p := range all {
+		if r := <-p.done; r.Err != nil || r.Reason == "" {
+			t.Errorf("place %d: %+v", i, r)
 		}
 	}
-	met := svc.Metrics()
-	if met.Batches.Load() >= uint64(len(errs)) {
-		t.Errorf("no coalescing through the real engine: %d batches for %d requests",
-			met.Batches.Load(), len(errs))
-	}
-	if met.PlacedLocal.Load()+met.PlacedRemote.Load() != uint64(len(errs)) {
-		t.Errorf("placement mix %d local + %d remote ≠ %d requests",
-			met.PlacedLocal.Load(), met.PlacedRemote.Load(), len(errs))
+	if n := svc.Metrics().Batches.Load(); n > 2 {
+		t.Errorf("no coalescing through the real engine: %d batches for %d requests queued behind one", n, len(all))
 	}
 }
 
 // benchAdmission measures end-to-end admission throughput under parallel
 // clients. The acceptance bar: batched ≥ unbatched (MaxBatch=1 baseline,
-// one full inference pipeline per request).
+// one engine call per request).
 func benchAdmission(b *testing.B, cfg Config) {
 	eng := tinyEngine(b, EngineConfig{Seed: 21})
 	cfg.QueueDepth = 8192
@@ -215,15 +207,15 @@ func benchAdmission(b *testing.B, cfg Config) {
 
 func BenchmarkAdmissionBatched(b *testing.B) {
 	b.SetParallelism(8)
-	benchAdmission(b, Config{BatchWindow: 2 * time.Millisecond, MaxBatch: 64})
+	benchAdmission(b, Config{MaxBatch: 64})
 }
 
 func BenchmarkAdmissionUnbatched(b *testing.B) {
 	b.SetParallelism(8)
-	benchAdmission(b, Config{BatchWindow: -1, MaxBatch: 1})
+	benchAdmission(b, Config{MaxBatch: 1})
 }
 
-func benchPlaceBatchSizes(b *testing.B, makeCtx func() context.Context) {
+func benchPlaceBatchSizes(b *testing.B, makeCtx func() context.Context, warm bool) {
 	eng := tinyEngine(b, EngineConfig{Seed: 31})
 	for _, size := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
@@ -233,6 +225,9 @@ func benchPlaceBatchSizes(b *testing.B, makeCtx func() context.Context) {
 			}
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
+				if !warm {
+					perturbWindow(eng, n)
+				}
 				eng.PlaceBatch(makeCtx(), reqs)
 			}
 			b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "placements/s")
@@ -241,9 +236,11 @@ func benchPlaceBatchSizes(b *testing.B, makeCtx func() context.Context) {
 }
 
 // BenchmarkPlaceBatchSizes is the untraced baseline: the context carries no
-// SpanRecorder, so every StartSpan along the pipeline is a no-op.
+// SpanRecorder, so every StartSpan along the pipeline is a no-op. The window
+// moves before every batch, so every batch runs the models (a memo hit
+// records no model spans — there would be no tracing cost left to measure).
 func BenchmarkPlaceBatchSizes(b *testing.B) {
-	benchPlaceBatchSizes(b, context.Background)
+	benchPlaceBatchSizes(b, context.Background, false)
 }
 
 // BenchmarkPlaceBatchSizesTraced runs the identical workload with a live
@@ -252,5 +249,11 @@ func BenchmarkPlaceBatchSizes(b *testing.B) {
 func BenchmarkPlaceBatchSizesTraced(b *testing.B) {
 	benchPlaceBatchSizes(b, func() context.Context {
 		return obs.WithRecorder(context.Background(), obs.NewSpanRecorder())
-	})
+	}, false)
+}
+
+// BenchmarkPlaceBatchSizesWarm leaves the window alone: every batch after
+// the first is answered by the prediction memo, the between-ticks cost.
+func BenchmarkPlaceBatchSizesWarm(b *testing.B) {
+	benchPlaceBatchSizes(b, context.Background, true)
 }

@@ -171,6 +171,79 @@ func TestEngineBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestFaultsFireOnMemoHits: the prediction memo sits under the fault
+// injector and the breaker, so a batch the memo could answer is still
+// corrupted by an active predict-nan, still failed by an active
+// predict-error, and still short-circuited by an open breaker.
+func TestFaultsFireOnMemoHits(t *testing.T) {
+	spec, err := faults.ParseSpec("predict-nan@10+10;predict-error@30+1000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faults.NewInjector(spec, 1)
+	eng := tinyEngine(t, EngineConfig{
+		Seed:    5,
+		Faults:  inj,
+		Breaker: faults.BreakerConfig{Threshold: 3, Cooldown: 1e6},
+	})
+	ctx := context.Background()
+	// place decides gmm (two BE queries) and reports how the memo answered.
+	place := func() (r PlaceResult, hits, misses uint64) {
+		t.Helper()
+		h0, m0 := eng.memo.Hits.Load(), eng.memo.Misses.Load()
+		res := eng.PlaceBatch(ctx, []PlaceRequest{{App: "gmm", DryRun: true}})
+		if res[0].Err != nil {
+			t.Fatalf("place: %v", res[0].Err)
+		}
+		return res[0], eng.memo.Hits.Load() - h0, eng.memo.Misses.Load() - m0
+	}
+
+	// Healthy: the second ask of the same window is answered by the memo.
+	first, _, misses := place()
+	if first.Reason != core.ReasonBESlack || misses != 2 {
+		t.Fatalf("first decision = %+v with %d misses, want be-slack computed by the models", first, misses)
+	}
+	again, hits, _ := place()
+	if hits != 2 || again.PredLocalS != first.PredLocalS || again.PredRemS != first.PredRemS {
+		t.Fatalf("second decision = %+v with %d hits, want the first one's predictions from the memo", again, hits)
+	}
+
+	// predict-nan: corrupts computed and remembered predictions alike.
+	eng.Advance(11)
+	for i, wantHits := range []uint64{0, 2} {
+		r, hits, _ := place()
+		if r.Reason != core.ReasonPredictError || !r.Fallback || hits != wantHits {
+			t.Errorf("nan window, ask %d: %+v with %d memo hits, want predict-error with %d", i, r, hits, wantHits)
+		}
+	}
+	if n := inj.Injections(faults.PredictNaN); n != 2 {
+		t.Errorf("predict-nan applied %d times, want 2 (once per batch, hit or miss)", n)
+	}
+
+	// Clean gap: the memo kept the true values, not the corrupted ones.
+	eng.Advance(10)
+	place()
+	if r, hits, _ := place(); r.Reason != core.ReasonBESlack || hits != 2 {
+		t.Errorf("after the nan window: %+v with %d memo hits, want a normal decision from the memo", r, hits)
+	}
+
+	// predict-error: every batch fails above the memo, which is not even
+	// consulted; the third failure trips the breaker, and the open breaker
+	// answers from its own last-good cache.
+	eng.Advance(10)
+	for i := 0; i < 3; i++ {
+		if r, hits, misses := place(); r.Reason != core.ReasonPredictError || hits+misses != 0 {
+			t.Errorf("outage ask %d: %+v (%d memo lookups), want predict-error without reaching the memo", i, r, hits+misses)
+		}
+	}
+	if eng.Breaker().State() != faults.Open {
+		t.Fatalf("breaker = %v after 3 failed batches", eng.Breaker().State())
+	}
+	if r, hits, misses := place(); r.Reason != core.ReasonBreakerOpen || !r.Fallback || r.PredLocalS <= 0 || hits+misses != 0 {
+		t.Errorf("open breaker: %+v (%d memo lookups), want breaker-open on last-good predictions without reaching the memo", r, hits+misses)
+	}
+}
+
 // TestEngineNaNNeverReachesDecision: with a predict-nan fault active, the
 // decision path classifies the corrupted outputs as predict-error and no
 // NaN/Inf leaks into results or the audit trail.
@@ -240,6 +313,8 @@ func TestEngineMetricsTypesAndSnapshot(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE adrias_serve_sigcache_hits_total counter",
 		"# TYPE adrias_serve_sigcache_misses_total counter",
+		"# TYPE adrias_serve_predict_memo_hits_total counter",
+		"# TYPE adrias_serve_predict_memo_misses_total counter",
 		"# TYPE adrias_serve_breaker_state gauge",
 		"# TYPE adrias_serve_degraded gauge",
 		"adrias_serve_breaker_trips_total 0",

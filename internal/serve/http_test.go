@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -58,7 +59,7 @@ func postPlace(t *testing.T, url string, body string) (*http.Response, map[strin
 }
 
 func TestHTTPPlace(t *testing.T) {
-	ts, _ := newTestServer(t, &fakeEngine{}, Config{BatchWindow: time.Millisecond})
+	ts, _ := newTestServer(t, &fakeEngine{}, Config{})
 
 	resp, m := postPlace(t, ts.URL, `{"app":"gmm"}`)
 	if resp.StatusCode != http.StatusOK {
@@ -97,13 +98,13 @@ func TestHTTPPlace(t *testing.T) {
 }
 
 func TestHTTPDeadline(t *testing.T) {
-	eng := &fakeEngine{gate: make(chan struct{})}
-	ts, _ := newTestServer(t, eng, Config{BatchWindow: time.Millisecond, MaxBatch: 1})
+	eng := newGatedEngine()
+	ts, _ := newTestServer(t, eng, Config{MaxBatch: 1})
 	defer close(eng.gate)
 
 	// Wedge the engine with one request so the next one times out queued.
 	go postPlaceAsync(ts.URL, `{"app":"a"}`)
-	waitFor(t, func() bool { return eng.entered.Load() == 1 })
+	<-eng.entered
 
 	resp, _ := postPlace(t, ts.URL, `{"app":"b","deadline_ms":40}`)
 	if resp.StatusCode != http.StatusGatewayTimeout {
@@ -112,15 +113,15 @@ func TestHTTPDeadline(t *testing.T) {
 }
 
 func TestHTTPOverload(t *testing.T) {
-	eng := &fakeEngine{gate: make(chan struct{})}
+	eng := newGatedEngine()
 	ts, svc := newTestServer(t, eng,
-		Config{BatchWindow: time.Millisecond, MaxBatch: 1, QueueDepth: 1, DefaultTimeout: 30 * time.Second})
+		Config{MaxBatch: 1, QueueDepth: 1, DefaultTimeout: 30 * time.Second})
 	defer close(eng.gate)
 
-	for i := 0; i < 2; i++ {
-		go postPlaceAsync(ts.URL, `{"app":"a"}`)
-	}
-	waitFor(t, func() bool { return len(svc.queue) == 1 })
+	// One request held inside the engine, one filling the queue.
+	go postPlaceAsync(ts.URL, `{"app":"a"}`)
+	<-eng.entered
+	admit(t, svc, context.Background(), PlaceRequest{App: "b"})
 
 	resp, _ := postPlace(t, ts.URL, `{"app":"c"}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -148,7 +149,7 @@ func TestHTTPHealthz(t *testing.T) {
 }
 
 func TestHTTPMetrics(t *testing.T) {
-	ts, _ := newTestServer(t, &fakeEngine{}, Config{BatchWindow: time.Millisecond})
+	ts, _ := newTestServer(t, &fakeEngine{}, Config{})
 	// Generate one success and one error so both counters are non-zero.
 	postPlace(t, ts.URL, `{"app":"gmm"}`)
 	postPlace(t, ts.URL, `{"app":"unknown"}`)

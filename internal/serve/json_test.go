@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"adrias/internal/obs"
 )
@@ -186,7 +185,7 @@ func TestReadBody(t *testing.T) {
 // produce for the decoded value.
 func TestPlaceHandlerGoldenAndFallback(t *testing.T) {
 	eng := tinyEngine(t, EngineConfig{Seed: 11})
-	svc := NewService(eng, Config{BatchWindow: time.Millisecond, MaxBatch: 32})
+	svc := NewService(eng, Config{MaxBatch: 32})
 	defer closeAll(t, svc)
 	h := NewHandler(svc, eng)
 
@@ -235,7 +234,7 @@ func TestPlaceHandlerGoldenAndFallback(t *testing.T) {
 // app fields or trip the race detector.
 func TestPlaceHandlerPoolHammer(t *testing.T) {
 	eng := tinyEngine(t, EngineConfig{Seed: 13})
-	svc := NewService(eng, Config{BatchWindow: time.Millisecond, MaxBatch: 64, QueueDepth: 1024})
+	svc := NewService(eng, Config{MaxBatch: 64, QueueDepth: 1024})
 	defer closeAll(t, svc)
 	h := NewHandler(svc, eng)
 
@@ -291,10 +290,6 @@ type hotPathFixture struct {
 	out     []byte
 }
 
-func newHotPathFixture(tb testing.TB, quant bool) *hotPathFixture {
-	return newHotPathFixtureCfg(tb, EngineConfig{Seed: 21, Quantized: quant})
-}
-
 func newHotPathFixtureCfg(tb testing.TB, cfg EngineConfig) *hotPathFixture {
 	apps := []string{"gmm", "nweight", "pagerank", "redis", "gmm", "svm", "memcached", "linear"}
 	f := &hotPathFixture{
@@ -308,6 +303,26 @@ func newHotPathFixtureCfg(tb testing.TB, cfg EngineConfig) *hotPathFixture {
 		f.bodies = append(f.bodies, []byte(`{"app":"`+a+`","dry_run":true}`))
 	}
 	return f
+}
+
+// perturbWindow nudges one cell of node 0's newest monitoring sample (up on
+// even k, back down on odd), so the next Watcher window differs by content
+// from the last one and the prediction memo misses — what a testbed tick
+// does to the window, without a tick's cost inside the timed loop.
+func perturbWindow(e *SystemEngine, k int) {
+	h := e.cl.History()
+	d := 1.0
+	if k%2 == 1 {
+		d = -1
+	}
+	h[len(h)-1].Sample.LLCLoads += d
+}
+
+// runMiss is run against a window no batch has seen: every query goes
+// through the models, as the first batch after each tick does.
+func (f *hotPathFixture) runMiss(tb testing.TB, ctx context.Context, k int) {
+	perturbWindow(f.eng, k)
+	f.run(tb, ctx)
 }
 
 func (f *hotPathFixture) run(tb testing.TB, ctx context.Context) {
@@ -330,11 +345,13 @@ func (f *hotPathFixture) run(tb testing.TB, ctx context.Context) {
 	}
 }
 
-// TestServeHotPathZeroAlloc is the PR's headline invariant: the quantized
-// decode→decide→encode path allocates nothing in steady state — with the
-// SLO engine attached and the wide-event sink armed. Decisions are counted
-// toward the SLO sources on this path; wide events record only at commit,
-// so the dry-run loop must stay allocation-free.
+// TestServeHotPathZeroAlloc is the hot path's headline invariant: the
+// quantized decode→decide→encode path allocates nothing in steady state —
+// with the SLO engine attached and the wide-event sink armed — both when the
+// prediction memo answers the batch and when the window has moved and every
+// query runs through the models. Decisions are counted toward the SLO
+// sources on this path; wide events record only at commit, so the dry-run
+// loop must stay allocation-free.
 func TestServeHotPathZeroAlloc(t *testing.T) {
 	f := newHotPathFixtureCfg(t, EngineConfig{
 		Seed: 21, Quantized: true, Events: obs.NewEventSink(64, 1, nil),
@@ -352,51 +369,76 @@ func TestServeHotPathZeroAlloc(t *testing.T) {
 			t.Fatalf("result %d unusable: %+v", i, r)
 		}
 	}
+	hits, misses := f.eng.memo.Hits.Load(), f.eng.memo.Misses.Load()
 	if n := testing.AllocsPerRun(20, func() { f.run(t, ctx) }); n > 0 {
-		t.Errorf("steady-state hot path allocates %.1f/op, want 0", n)
+		t.Errorf("steady-state hot path allocates %.1f/op on memo hits, want 0", n)
+	}
+	if m := f.eng.memo.Misses.Load(); m != misses || f.eng.memo.Hits.Load() == hits {
+		t.Errorf("static window: %d new misses, want every query a hit", m-misses)
+	}
+	hits, k := f.eng.memo.Hits.Load(), 0
+	if n := testing.AllocsPerRun(20, func() { f.runMiss(t, ctx, k); k++ }); n > 0 {
+		t.Errorf("steady-state hot path allocates %.1f/op on memo misses, want 0", n)
+	}
+	if h := f.eng.memo.Hits.Load(); h != hits || f.eng.memo.Misses.Load() == misses {
+		t.Errorf("moving window: %d new hits, want every query a miss", h-hits)
 	}
 }
 
-func benchServeHotPath(b *testing.B, quant bool) {
-	f := newHotPathFixture(b, quant)
+// benchServeHotPath times the fixture's loop. The gated benchmarks move the
+// window before every batch so they keep measuring inference (a static
+// window would turn them into memo-lookup benchmarks and collapse the
+// quant-vs-float ratio to ~1); the Warm twins leave it alone and record the
+// hit path, the cost of every batch between two ticks.
+func benchServeHotPath(b *testing.B, cfg EngineConfig, warm bool) {
+	f := newHotPathFixtureCfg(b, cfg)
+	if cfg.Events != nil {
+		slo, err := BuildSLO(SLOConfig{}, NewMetrics(), f.eng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.eng.AttachSLO(slo)
+		f.eng.Advance(1)
+	}
 	ctx := context.Background()
 	f.run(b, ctx)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		f.run(b, ctx)
+		if warm {
+			f.run(b, ctx)
+		} else {
+			f.runMiss(b, ctx, n)
+		}
 	}
 	b.ReportMetric(float64(len(f.reqs))*float64(b.N)/b.Elapsed().Seconds(), "placements/s")
 }
 
 // BenchmarkServeHotPathFloatB8 is the float baseline of the serve hot path
 // (allocates inside the float predictor, by design).
-func BenchmarkServeHotPathFloatB8(b *testing.B) { benchServeHotPath(b, false) }
+func BenchmarkServeHotPathFloatB8(b *testing.B) {
+	benchServeHotPath(b, EngineConfig{Seed: 21}, false)
+}
 
 // BenchmarkServeHotPathQuantB8 is the gated path: bench-gate requires 0
 // allocs/op and ≥1.5× the float baseline's throughput.
-func BenchmarkServeHotPathQuantB8(b *testing.B) { benchServeHotPath(b, true) }
+func BenchmarkServeHotPathQuantB8(b *testing.B) {
+	benchServeHotPath(b, EngineConfig{Seed: 21, Quantized: true}, false)
+}
 
 // BenchmarkServeHotPathQuantB8Events is the armed-observability variant of
 // the gated path: SLO engine attached (every decision feeds its sources)
 // and the wide-event sink in place. bench-gate holds its cost within 5% of
 // QuantB8 and still requires 0 allocs/op.
 func BenchmarkServeHotPathQuantB8Events(b *testing.B) {
-	f := newHotPathFixtureCfg(b, EngineConfig{
-		Seed: 21, Quantized: true, Events: obs.NewEventSink(256, 1, nil),
-	})
-	slo, err := BuildSLO(SLOConfig{}, NewMetrics(), f.eng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f.eng.AttachSLO(slo)
-	ctx := context.Background()
-	f.eng.Advance(1)
-	f.run(b, ctx)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		f.run(b, ctx)
-	}
-	b.ReportMetric(float64(len(f.reqs))*float64(b.N)/b.Elapsed().Seconds(), "placements/s")
+	benchServeHotPath(b, EngineConfig{Seed: 21, Quantized: true, Events: obs.NewEventSink(256, 1, nil)}, false)
+}
+
+// The Warm twins: same loop, window left alone, every query a memo hit.
+func BenchmarkServeHotPathFloatB8Warm(b *testing.B) {
+	benchServeHotPath(b, EngineConfig{Seed: 21}, true)
+}
+
+func BenchmarkServeHotPathQuantB8Warm(b *testing.B) {
+	benchServeHotPath(b, EngineConfig{Seed: 21, Quantized: true}, true)
 }

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"adrias/internal/bus"
 	"adrias/internal/models"
@@ -23,7 +22,7 @@ import (
 func TestTraceEndToEnd(t *testing.T) {
 	events := bus.New()
 	eng := tinyEngine(t, EngineConfig{Seed: 41, Bus: events})
-	svc := NewService(eng, Config{BatchWindow: time.Millisecond})
+	svc := NewService(eng, Config{})
 	tel := svc.Telemetry()
 	eng.RegisterObs(tel)
 	events.RegisterMetrics(tel.Registry)
@@ -144,7 +143,7 @@ func TestTraceEndToEnd(t *testing.T) {
 // TestQueueWaitMetric: every served request contributes one queue-wait
 // observation, kept separate from the end-to-end latency histogram.
 func TestQueueWaitMetric(t *testing.T) {
-	ts, svc := newTestServer(t, &fakeEngine{}, Config{BatchWindow: time.Millisecond})
+	ts, svc := newTestServer(t, &fakeEngine{}, Config{})
 	postPlace(t, ts.URL, `{"app":"gmm"}`)
 	postPlace(t, ts.URL, `{"app":"pagerank"}`)
 
@@ -166,7 +165,7 @@ func TestQueueWaitMetric(t *testing.T) {
 // into the result, the tracer ring, and the HTTP response is the minted one
 // otherwise.
 func TestTraceIDPropagation(t *testing.T) {
-	ts, svc := newTestServer(t, &fakeEngine{}, Config{BatchWindow: time.Millisecond})
+	ts, svc := newTestServer(t, &fakeEngine{}, Config{})
 	_, body := postPlace(t, ts.URL, `{"app":"gmm"}`)
 	id, _ := body["trace_id"].(string)
 	if id == "" {

@@ -18,7 +18,6 @@ import (
 
 	"adrias/internal/cluster"
 	"adrias/internal/core"
-	"adrias/internal/faults"
 	"adrias/internal/learn"
 	"adrias/internal/mathx"
 	"adrias/internal/memsys"
@@ -172,6 +171,9 @@ type engineShard struct {
 	id   int
 	eng  *SystemEngine
 	orch *core.Orchestrator
+	// base is the slot at the bottom of the shard's own inference stack; a
+	// re-clone retargets it and leaves the wrappers above in place.
+	base *core.SwappableInference
 
 	// gen is the model generation the shard's cloned stack was built from
 	// (1 when the learning loop is off). Atomic: the owning goroutine
@@ -190,24 +192,24 @@ type engineShard struct {
 }
 
 // NewShard mints replica decider id over this engine's rack state: a clone
-// of the float models (plus, when configured, a per-shard quantized twin
-// and fault/breaker wrappers sharing the engine's injector and breaker —
-// both concurrency-safe) and an independent orchestrator scratch. The
-// signature store is shared: it is internally locked, so in-situ captures
-// on the commit path become visible to every shard immediately. With the
-// online learning loop armed, the clone source is the loop's current live
-// generation and the shard re-clones whenever a promotion moves it
-// (maybeReclone), so hot-swap propagates to every replica within one batch.
+// of the float models under the shard's own inference stack (inferStack —
+// the injector and breaker are the engine's, shared) and an independent
+// orchestrator scratch. The signature store is shared: it is internally
+// locked, so in-situ captures on the commit path become visible to every
+// shard immediately. With the online learning loop armed, the clone source
+// is the loop's current live generation and the shard re-clones whenever a
+// promotion moves it (maybeReclone), so hot-swap propagates to every replica
+// within one batch.
 func (e *SystemEngine) NewShard(id int) Engine {
 	gen, pred := 1, e.orch.Pred
 	if e.learner != nil {
 		gen, pred = e.learner.Live()
 	}
-	clone, infer := e.shardStack(pred)
+	clone := pred.Clone()
 	orch := core.NewOrchestrator(clone, e.watch, e.cfg.Beta)
 	orch.QoSMs = e.orch.QoSMs // read-only after engine construction
-	orch.Infer = infer
 	s := &engineShard{id: id, eng: e, orch: orch}
+	s.base, orch.Infer = e.inferStack(clone)
 	s.gen.Store(int64(gen))
 	e.shardMu.Lock()
 	e.shards = append(e.shards, s)
@@ -215,41 +217,13 @@ func (e *SystemEngine) NewShard(id int) Engine {
 	return s
 }
 
-// shardStack clones pred's float models and wraps the shard-local inference
-// stack around them — quantized twin, fault injection, breaker — in the
-// same order as the engine's own stack, minus the swappable slot: a shard
-// tracks promotions by re-cloning, not by sharing the hot-swap pointer.
-func (e *SystemEngine) shardStack(pred *core.Predictor) (*core.Predictor, core.PerfInference) {
-	clone := &core.Predictor{Sigs: pred.Sigs}
-	if pred.Sys != nil {
-		clone.Sys = pred.Sys.Clone()
-	}
-	if pred.BE != nil {
-		clone.BE = pred.BE.Clone()
-	}
-	if pred.LC != nil {
-		clone.LC = pred.LC.Clone()
-	}
-	var infer core.PerfInference = clone
-	if e.cfg.Quantized {
-		infer = core.NewQuantPredictor(clone)
-	}
-	if e.cfg.Faults != nil {
-		infer = &faults.FaultyPredictor{Inner: infer, Inj: e.cfg.Faults}
-	}
-	if e.brk != nil {
-		infer = faults.NewGuardedPredictor(infer, e.brk)
-	}
-	return clone, infer
-}
-
-// maybeReclone rebuilds the shard's inference stack from the promoted live
-// generation when the learning loop has moved past the one this shard
-// cloned. The fast path — no swap since the last batch — is one atomic
-// flag load and one atomic generation compare. The re-clone itself runs
-// under the engine lock: cloning must not overlap a concurrent promotion
-// or the loop's shadow evaluation on the same model instances, and it
-// happens at most once per promotion per shard, off the steady-state path.
+// maybeReclone retargets the shard's inference stack at a fresh clone of the
+// promoted live generation when the learning loop has moved past the one
+// this shard cloned. The fast path — no swap since the last batch — is one
+// atomic flag load and one atomic generation compare. The re-clone itself
+// runs under the engine lock: cloning must not overlap a concurrent
+// promotion or the loop's shadow evaluation on the same model instances, and
+// it happens at most once per promotion per shard, off the steady-state path.
 func (s *engineShard) maybeReclone() {
 	e := s.eng
 	if e.learner == nil {
@@ -261,10 +235,11 @@ func (s *engineShard) maybeReclone() {
 	e.mu.Lock()
 	s.stale.Store(false)
 	gen, pred := e.learner.Live()
-	clone, infer := e.shardStack(pred)
+	clone := pred.Clone()
+	bottom := e.bottomInference(clone)
 	e.mu.Unlock()
 	s.orch.Pred = clone
-	s.orch.Infer = infer
+	s.base.Store(bottom)
 	s.gen.Store(int64(gen))
 	e.shardReclones.Add(1)
 }

@@ -1,14 +1,17 @@
 // Package serve exposes the Adrias orchestrator as a long-lived placement
 // service — the admission front-end of the paper's Fig. 7 deployment, where
 // arriving applications ask the orchestrator for a memory tier before they
-// start. The service accepts concurrent placement requests, coalesces them
-// inside a small batching window, and feeds whole batches through the
-// predictor's lockstep-batched inference (one Ŝ forecast and one batched
-// model call per class instead of up to three inferences per request).
+// start. The service accepts concurrent placement requests and feeds them
+// to the engine in work-conserving batches: a batch is whatever has queued
+// up while the previous one was being decided, so an isolated request is
+// served at once and batches grow exactly when the engine is the bottleneck
+// (one Ŝ forecast and one batched model call per class instead of up to
+// three inferences per request). Only a lone request less than a millisecond
+// behind the previous batch waits, for company, until the millisecond is up.
 //
 // The admission pipeline is:
 //
-//	Place(ctx) → bounded queue → batcher (coalescing window) → Engine.PlaceBatch
+//	Place(ctx) → bounded queue → batcher → Engine.PlaceBatch
 //
 // with per-request deadlines (context propagation end to end), explicit
 // backpressure when the queue is full (ErrOverloaded, an HTTP 429), and a
@@ -20,7 +23,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,9 +72,10 @@ type PlaceResult struct {
 }
 
 // Engine computes placement decisions for a coalesced batch of admitted
-// requests. results[i] answers reqs[i]. ctx carries the batch's
-// obs.SpanRecorder (when tracing) and is otherwise advisory — per-request
-// deadlines are enforced by the service, not the engine.
+// requests. results[i] answers reqs[i]. reqs is the caller's scratch, valid
+// only until PlaceBatch returns — an engine must not retain it. ctx carries
+// the batch's obs.SpanRecorder (when tracing) and is otherwise advisory —
+// per-request deadlines are enforced by the service, not the engine.
 type Engine interface {
 	PlaceBatch(ctx context.Context, reqs []PlaceRequest) []PlaceResult
 }
@@ -92,12 +95,6 @@ type ShardedEngine interface {
 
 // Config tunes the admission pipeline. The zero value selects the defaults.
 type Config struct {
-	// BatchWindow bounds how long the batcher waits, after the first
-	// request arrives, for more requests to coalesce (default 2 ms;
-	// negative disables waiting — only already-queued requests join the
-	// batch). Once a batch has company, an idle queue releases it
-	// immediately rather than sleeping out the whole window.
-	BatchWindow time.Duration
 	// MaxBatch caps the batch size (default 64; 1 degenerates to
 	// one-inference-per-request, the unbatched baseline).
 	MaxBatch int
@@ -119,9 +116,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -168,6 +162,11 @@ type Service struct {
 
 // NewService starts the admission batcher over eng.
 func NewService(eng Engine, cfg Config) *Service {
+	return newService(eng, cfg, loneSpacing)
+}
+
+// newService lets tests choose the lone-batch spacing.
+func newService(eng Engine, cfg Config, spacing time.Duration) *Service {
 	cfg = cfg.withDefaults()
 	met := NewMetrics()
 	s := &Service{
@@ -193,11 +192,12 @@ func NewService(eng Engine, cfg Config) *Service {
 				worker = shard
 			}
 		}
+		b := s.newBatcher(worker, spacing)
 		wg.Add(1)
-		go func(worker Engine) {
+		go func() {
 			defer wg.Done()
-			s.run(worker)
-		}(worker)
+			b.run()
+		}()
 	}
 	go func() {
 		wg.Wait()
@@ -303,21 +303,40 @@ func (s *Service) Close(ctx context.Context) error {
 	}
 }
 
-// run is one replica's batcher goroutine: it coalesces queued requests into
-// batches and serves them through its engine (a per-replica shard, or the
-// shared engine when sharding is unavailable). drained is closed by the
-// service once every replica's drain sweep has returned.
-func (s *Service) run(eng Engine) {
+// batcher is one replica's admission loop and the scratch it reuses from
+// batch to batch: a batch is often one request, so its cost is per request.
+type batcher struct {
+	s   *Service
+	eng Engine // a per-replica shard, or the shared engine when sharding is unavailable
+
+	batch, live []*pending
+	reqs        []PlaceRequest
+	rec         *obs.SpanRecorder
+	ctx         context.Context // carries rec
+	shared      []obs.Span
+
+	spacing      time.Duration // loneSpacing, or a test's
+	lastDispatch time.Time     // when the previous batch went to the engine
+}
+
+func (s *Service) newBatcher(eng Engine, spacing time.Duration) *batcher {
+	rec := obs.NewSpanRecorder()
+	return &batcher{s: s, eng: eng, spacing: spacing, rec: rec, ctx: obs.WithRecorder(context.Background(), rec)}
+}
+
+// run serves batches until quit, then decides everything already admitted
+// and returns. drained is closed by the service once every replica's drain
+// sweep has returned.
+func (b *batcher) run() {
 	for {
 		select {
-		case p := <-s.queue:
-			s.serveBatch(eng, time.Now(), s.collect(p))
-		case <-s.quit:
-			// Drain: decide everything already admitted, then exit.
+		case p := <-b.s.queue:
+			b.serveBatch(p)
+		case <-b.s.quit:
 			for {
 				select {
-				case p := <-s.queue:
-					s.serveBatch(eng, time.Now(), s.collect(p))
+				case p := <-b.s.queue:
+					b.serveBatch(p)
 				default:
 					return
 				}
@@ -326,115 +345,91 @@ func (s *Service) run(eng Engine) {
 	}
 }
 
-// collect gathers a batch: the first request plus whatever else arrives
-// within the batching window, capped at MaxBatch. A lone request waits up
-// to the full window for company; once the batch has at least two members,
-// an idle queue releases it immediately — when every in-flight client is
-// already aboard, sleeping out the window adds latency without growing the
-// batch. Idleness is confirmed by yielding to runnable producers rather
-// than by a short timer: parking on a sub-millisecond timer costs ~1 ms of
-// netpoll wake-up latency, which would swamp the inference time the batch
-// exists to amortize.
-func (s *Service) collect(first *pending) []*pending {
-	batch := []*pending{first}
-	// drain takes everything already queued and reports whether it got any.
-	drain := func() bool {
-		got := false
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case p := <-s.queue:
-				batch = append(batch, p)
-				got = true
-				continue
-			default:
-			}
+// loneSpacing is the least time from the dispatch of one batch to that of a
+// single-request batch after it: the shortest wait the Go runtime times with
+// every P idle (it parks in epoll_wait, whose timeout is whole milliseconds).
+const loneSpacing = time.Millisecond
+
+// collect gathers a batch: the first request plus whatever is already
+// queued, capped at MaxBatch. Arrivals queue while the engine runs the
+// previous batch, so batches grow on their own exactly when the engine is
+// the bottleneck. Only a lone request can be held: until the spacing has
+// passed since the previous dispatch, a second request arrives, or the drain
+// begins. An arrival after a quiet millisecond (the paper's pattern) never
+// waits; one caller sending back to back is paced to one request per timer
+// quantum, or its throughput is whatever the host's scheduler gives its
+// tight loop from one second to the next (DESIGN.md §8).
+func (b *batcher) collect(first *pending) []*pending {
+	b.batch = append(b.batch[:0], first)
+	wait := b.spacing - time.Since(b.lastDispatch)
+	for len(b.batch) < b.s.cfg.MaxBatch {
+		select {
+		case p := <-b.s.queue:
+			b.batch = append(b.batch, p)
+			continue
+		default:
+		}
+		if len(b.batch) > 1 || wait <= 0 {
 			break
 		}
-		return got
-	}
-	drain()
-	if s.cfg.BatchWindow < 0 || s.cfg.MaxBatch <= 1 || len(batch) >= s.cfg.MaxBatch {
-		return batch
-	}
-	deadline := time.Now().Add(s.cfg.BatchWindow)
-	for len(batch) < s.cfg.MaxBatch && time.Now().Before(deadline) {
-		if len(batch) > 1 {
-			// Company aboard: give runnable producers a few chances to
-			// enqueue, then ship as soon as the queue stays idle.
-			idle := true
-			for spin := 0; spin < 4; spin++ {
-				runtime.Gosched()
-				if drain() {
-					idle = false
-					break
-				}
-			}
-			if idle {
-				return batch
-			}
-			continue
-		}
-		// Lone request: sleep until company arrives or the window closes.
-		// An arrival wakes the select through the channel, not the timer,
-		// so this path does not pay the timer-granularity tax per batch.
-		timer := time.NewTimer(time.Until(deadline))
+		timer := time.NewTimer(wait)
 		select {
-		case p := <-s.queue:
-			timer.Stop()
-			batch = append(batch, p)
-		case <-s.quit:
-			// Draining: serve what we have without waiting out the window.
-			timer.Stop()
-			return batch
+		case p := <-b.s.queue:
+			b.batch = append(b.batch, p)
+		case <-b.s.quit:
 		case <-timer.C:
 		}
+		timer.Stop()
+		wait = 0
 	}
-	return batch
+	return b.batch
 }
 
-// serveBatch discards expired requests, runs the rest through the engine in
-// one call, and delivers the results. collectStart is when the batcher
-// dequeued the batch's first request — the coalescing window opens there.
+// serveBatch collects a batch behind first, discards its expired requests,
+// runs the rest through the engine in one call, and delivers the results.
 //
 // Tracing: the engine call runs under one SpanRecorder for the whole batch
 // (the model stages execute once per batch, so their spans are shared by
 // every trace in it); queue_wait and coalesce are per-request, measured
 // here. One assembled Trace per live request lands in the tracer ring.
-func (s *Service) serveBatch(eng Engine, collectStart time.Time, batch []*pending) {
-	live := make([]*pending, 0, len(batch))
-	reqs := make([]PlaceRequest, 0, len(batch))
-	for _, p := range batch {
+func (b *batcher) serveBatch(first *pending) {
+	s := b.s
+	collectStart := time.Now()
+	b.live, b.reqs = b.live[:0], b.reqs[:0]
+	for _, p := range b.collect(first) {
 		if p.ctx.Err() != nil {
 			// The caller has already been released by its context; do not
 			// spend model time on it.
 			s.met.Expired.Add(1)
 			continue
 		}
-		live = append(live, p)
-		reqs = append(reqs, p.req)
+		b.live = append(b.live, p)
+		b.reqs = append(b.reqs, p.req)
 	}
-	if len(live) == 0 {
+	if len(b.live) == 0 {
 		return
 	}
 	s.met.Batches.Add(1)
-	s.met.BatchedReqs.Add(uint64(len(live)))
-	rec := obs.NewSpanRecorder()
+	s.met.BatchedReqs.Add(uint64(len(b.live)))
 	dispatch := time.Now()
-	for _, p := range live {
+	b.lastDispatch = dispatch
+	for _, p := range b.live {
 		s.met.QueueWait.ObserveDuration(dispatch.Sub(p.enq))
 	}
 	coalesce := obs.Span{Name: "coalesce", Start: collectStart, Dur: dispatch.Sub(collectStart)}
-	results := eng.PlaceBatch(obs.WithRecorder(context.Background(), rec), reqs)
-	shared := rec.Spans()
-	for i, p := range live {
+	b.rec.Reset()
+	results := b.eng.PlaceBatch(b.ctx, b.reqs)
+	b.shared = b.rec.AppendTo(b.shared[:0])
+	for i, p := range b.live {
 		r := results[i]
-		r.BatchSize = len(live)
+		r.BatchSize = len(b.live)
 		r.TraceID = p.req.TraceID
-		stages := make([]obs.Span, 0, len(shared)+2)
+		// Retained by the tracer ring, so allocated per request.
+		stages := make([]obs.Span, 0, len(b.shared)+2)
 		stages = append(stages,
 			obs.Span{Name: "queue_wait", Start: p.enq, Dur: dispatch.Sub(p.enq)},
 			coalesce)
-		stages = append(stages, shared...)
+		stages = append(stages, b.shared...)
 		s.tel.Tracer.Record(obs.Trace{ID: p.req.TraceID, App: p.req.App, Start: p.enq, Stages: stages})
 		p.done <- r
 	}

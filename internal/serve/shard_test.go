@@ -10,6 +10,7 @@ import (
 
 	"adrias/internal/cluster"
 	"adrias/internal/core"
+	"adrias/internal/mathx"
 	"adrias/internal/memsys"
 )
 
@@ -320,11 +321,35 @@ func TestMultiNodeEngineSpreadsPlacements(t *testing.T) {
 	}
 }
 
+// TestShardMemoCountsOnEngine: a shard's cloned predictor answers a repeated
+// ask from its own memo, and counts it on the engine's counters — the ones
+// /metrics renders for engine and shards together.
+func TestShardMemoCountsOnEngine(t *testing.T) {
+	eng := tinyEngine(t, EngineConfig{Seed: 43, Nodes: 2, Quantized: true})
+	sh := eng.NewShard(0)
+	reqs := []PlaceRequest{{App: "gmm", DryRun: true}}
+	first := sh.PlaceBatch(context.Background(), reqs)[0]
+	again := sh.PlaceBatch(context.Background(), reqs)[0]
+	if first.Err != nil || first.PredLocalS <= 0 {
+		t.Fatalf("first decision unusable: %+v", first)
+	}
+	if again.PredLocalS != first.PredLocalS || again.PredRemS != first.PredRemS || again.Tier != first.Tier {
+		t.Errorf("repeated ask answered %+v, first %+v", again, first)
+	}
+	if h, m := eng.memo.Hits.Load(), eng.memo.Misses.Load(); h != 2 || m != 2 {
+		t.Errorf("engine memo counters after a shard's miss then hit: %d hits / %d misses, want 2 / 2", h, m)
+	}
+}
+
 // benchPlaceThroughput measures raw decide+commit throughput with R replica
 // shards working one shared request stream of dry-run batches (batch of 8,
 // the bench-gate shape). Dry runs exercise the full optimistic decide path
-// — view load, node pick, batched inference — without mutating the rack, so
-// the numbers isolate placement-tier scaling from testbed churn.
+// — view load, node pick, batched prediction — without mutating the rack, so
+// the numbers isolate placement-tier scaling from testbed churn. Every batch
+// decides against a freshly published view whose windows differ by content
+// from every earlier one (movedView), as after a tick, so each shard's
+// prediction memo misses and the series keeps measuring inference-bound
+// deciders — the regime its scaling and learn-overhead gates were set for.
 func benchPlaceThroughput(b *testing.B, replicas int) {
 	benchPlaceThroughputCfg(b, replicas, EngineConfig{Seed: 41, Quantized: true, Nodes: 2})
 }
@@ -334,6 +359,7 @@ func benchPlaceThroughputCfg(b *testing.B, replicas int, cfg EngineConfig) {
 	apps := []string{"gmm", "pagerank", "redis", "kmeans"}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	base := eng.view.Load()
 	b.ResetTimer()
 	for r := 0; r < replicas; r++ {
 		sh := eng.NewShard(r)
@@ -347,7 +373,8 @@ func benchPlaceThroughputCfg(b *testing.B, replicas int, cfg EngineConfig) {
 			for i := range reqs {
 				reqs[i] = PlaceRequest{App: apps[i%len(apps)], DryRun: true}
 			}
-			for next.Add(1) <= int64(b.N) {
+			for n := next.Add(1); n <= int64(b.N); n = next.Add(1) {
+				eng.view.Store(movedView(base, n))
 				sh.PlaceBatch(context.Background(), reqs)
 			}
 		}(sh)
@@ -355,6 +382,20 @@ func benchPlaceThroughputCfg(b *testing.B, replicas int, cfg EngineConfig) {
 	wg.Wait()
 	b.StopTimer()
 	b.ReportMetric(float64(8*b.N)/b.Elapsed().Seconds(), "placements/s")
+}
+
+// movedView copies v with the newest cell of every node's window offset by
+// n: a view no decider has seen, without the cost of a testbed tick.
+func movedView(v *rackView, n int64) *rackView {
+	out := *v
+	out.win = make([][]mathx.Vector, len(v.win))
+	for i, w := range v.win {
+		out.win[i] = append([]mathx.Vector(nil), w...)
+		last := len(w) - 1
+		out.win[i][last] = w[last].Clone()
+		out.win[i][last][0] += float64(n)
+	}
+	return &out
 }
 
 func BenchmarkPlaceThroughputR1(b *testing.B) { benchPlaceThroughput(b, 1) }

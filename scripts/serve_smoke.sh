@@ -70,7 +70,8 @@ grep -q '^adrias_serve_batches_total' "$scrapes/metrics.txt" || {
 
 # One scrape must carry series from serve, bus, models, thymesis, and the
 # Go runtime at once — the repo-wide registry is wired, not just serve's.
-for series in adrias_serve_queue_wait_seconds_count adrias_bus_published_total \
+for series in adrias_serve_queue_wait_seconds_count adrias_serve_predict_memo_hits_total \
+  adrias_serve_predict_memo_misses_total adrias_bus_published_total \
   adrias_models_inference_batches_total adrias_thymesis_flits_tx_total \
   adrias_go_goroutines; do
   grep -q "^$series" "$scrapes/metrics.txt" || {
@@ -80,7 +81,9 @@ for series in adrias_serve_queue_wait_seconds_count adrias_bus_published_total \
 done
 
 # Every request is traceable: the trace ring must hold the pipeline stages
-# (queue wait and coalescing per request, the model/decide spans per batch).
+# (queue wait and coalescing per request, the decide spans per batch, the
+# model spans on the batches that computed — a batch the prediction memo
+# answered records none, and 100 requests at a 500 ms tick include both).
 curl -fsS "http://127.0.0.1:$port/debug/traces" >"$scrapes/traces.json"
 for stage in queue_wait coalesce signature_lookup sysstate_predict \
   perf_predict decide; do
