@@ -22,13 +22,15 @@ bench:
 ## bench-gate: the quantized-fast-path gate — batch-8 quant vs float
 ## benchmarks at one core plus the decision-flip contract replay; writes
 ## BENCH_quantfast.json and fails on >0 allocs/op, flip rate > 1%, or a
-## serve speedup below 1.5x. Tunables: FLIP_BUDGET, MIN_SPEEDUP, BENCHTIME.
+## serve speedup below 1.5x, or a testbed tick that allocates. Tunables:
+## FLIP_BUDGET, MIN_SPEEDUP, BENCHTIME.
 bench-gate:
 	./scripts/bench_gate.sh
 
-## bench-e2e: the end-to-end latency gate — the benchmark module's tests
-## plus a 4 s mixed-rack against the real adrias-serve; fails unless the
-## output is correct, nothing failed, and p50 < 1 ms (MAX_P50_MS).
+## bench-e2e: the end-to-end gate — the benchmark module's tests, a 4 s
+## replay-quality and a 4 s mixed-rack against the real adrias-serve; fails
+## unless both outputs are correct, nothing failed, and the mixed-rack
+## p50 < 1 ms (MAX_P50_MS).
 bench-e2e:
 	./scripts/bench_e2e.sh
 

@@ -60,6 +60,7 @@ type Cluster struct {
 	running []*workload.Instance
 	done    []*workload.Instance
 	history []TickRecord
+	demands []memsys.Demand // tick's per-instance demands, reused
 
 	usedLocalGB  float64
 	usedRemoteGB float64
@@ -194,11 +195,11 @@ func (c *Cluster) RunUntilDrained(maxTime float64) error {
 
 // tick is the per-tick contention resolution.
 func (c *Cluster) tick(now float64, dt float64) {
-	demands := make([]memsys.Demand, len(c.running))
-	for i, in := range c.running {
-		demands[i] = in.Demand()
+	c.demands = c.demands[:0]
+	for _, in := range c.running {
+		c.demands = append(c.demands, in.Demand())
 	}
-	outs, sample := c.node.Tick(demands, dt)
+	outs, sample := c.node.Tick(c.demands, dt)
 
 	alive := c.running[:0]
 	for i, in := range c.running {
@@ -235,15 +236,4 @@ func (c *Cluster) tick(now float64, dt float64) {
 // link — the data-traffic metric of the paper's last evaluation paragraph.
 func (c *Cluster) FabricBytesMoved() float64 {
 	return c.node.Fabric().Counters().BytesMoved
-}
-
-// SamplesBetween returns the recorded samples with Time in (from, to].
-func (c *Cluster) SamplesBetween(from, to float64) []memsys.Sample {
-	var out []memsys.Sample
-	for _, r := range c.history {
-		if r.Time > from && r.Time <= to {
-			out = append(out, r.Sample)
-		}
-	}
-	return out
 }

@@ -157,16 +157,6 @@ func TestFabricTrafficOnlyFromRemote(t *testing.T) {
 	}
 }
 
-func TestSamplesBetween(t *testing.T) {
-	c := New(DefaultConfig())
-	c.Deploy(registry.ByName("gmm"), memsys.TierLocal)
-	c.Run(20)
-	got := c.SamplesBetween(5, 10)
-	if len(got) != 5 {
-		t.Errorf("SamplesBetween(5,10] = %d samples, want 5", len(got))
-	}
-}
-
 func TestRunUntilDrainedTimeout(t *testing.T) {
 	c := New(DefaultConfig())
 	c.Deploy(registry.ByName("nweight"), memsys.TierLocal) // 85 s base
@@ -292,5 +282,43 @@ func TestBothPoolsFullOvercommitsLocal(t *testing.T) {
 	}
 	if c.CapacityFallbacks != 1 {
 		t.Errorf("fallbacks = %d", c.CapacityFallbacks)
+	}
+}
+
+// warmed12 is a testbed in steady state: twelve instances that never finish
+// (eight Spark, both LC services, two iBench generators, split over the two
+// tiers), no history, run until both latency reservoirs are full.
+func warmed12(tb testing.TB) *Cluster {
+	cfg := DefaultConfig()
+	cfg.KeepHistory = false
+	c := New(cfg)
+	apps := append(append(registry.Spark()[:8:8], registry.LC()...), registry.IBench()[:2]...)
+	for i, p := range apps {
+		endless := *p
+		endless.BaseExecSec, endless.TotalOps = 1e12, 1e18
+		c.Deploy(&endless, memsys.Tier(i%2))
+	}
+	c.Run(700)
+	if len(c.Running()) != 12 {
+		tb.Fatalf("%d instances running after warm-up, want 12", len(c.Running()))
+	}
+	return c
+}
+
+// A tick in steady state works out of storage the cluster, the node and the
+// fabric already own.
+func TestClusterTickZeroAlloc(t *testing.T) {
+	c := warmed12(t)
+	if n := testing.AllocsPerRun(200, func() { c.Run(c.Now() + 1) }); n != 0 {
+		t.Errorf("cluster tick allocates %v times, want 0", n)
+	}
+}
+
+func BenchmarkClusterTick12(b *testing.B) {
+	c := warmed12(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Run(c.Now() + 1)
 	}
 }

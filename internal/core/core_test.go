@@ -135,6 +135,27 @@ func TestWatcherTraceBetween(t *testing.T) {
 	if len(trace) != 10 {
 		t.Errorf("trace length = %d, want 10", len(trace))
 	}
+	// The bounds are (from, to] against a walk of the whole history, on and
+	// off tick boundaries, before the first tick, past the last, and empty.
+	for _, r := range [][2]float64{{5, 15}, {4.5, 15.5}, {-1, 3}, {0, 0.5}, {28, 99}, {30, 40}, {12, 12}, {15, 5}} {
+		var want [][]float64
+		for _, rec := range c.History() {
+			if rec.Time > r[0] && rec.Time <= r[1] {
+				want = append(want, rec.Sample.Vector())
+			}
+		}
+		got := w.TraceBetween(c, r[0], r[1])
+		if len(got) != len(want) {
+			t.Fatalf("TraceBetween(%v, %v] = %d rows, walk finds %d", r[0], r[1], len(got), len(want))
+		}
+		for i := range got {
+			for m := range got[i] {
+				if got[i][m] != want[i][m] {
+					t.Fatalf("TraceBetween(%v, %v] row %d differs from the walk", r[0], r[1], i)
+				}
+			}
+		}
+	}
 }
 
 // trainTinyPredictor builds a minimally trained Predictor good enough for

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"adrias/internal/cluster"
 	"adrias/internal/mathx"
@@ -86,14 +87,20 @@ func (w *Watcher) WindowInto(c *cluster.Cluster) []mathx.Vector {
 	return w.out
 }
 
-// TraceBetween extracts the raw metric trace between two simulation times —
-// used to capture an application's signature from its in-situ run.
+// TraceBetween extracts the raw metric trace of the ticks in (from, to] —
+// used to capture an application's signature from its in-situ run. The
+// history is in time order, so the bounds are found by bisection: a long
+// running server pays for the span it asks about, not for its uptime.
 func (w *Watcher) TraceBetween(c *cluster.Cluster, from, to float64) []mathx.Vector {
-	var out []mathx.Vector
-	for _, r := range c.History() {
-		if r.Time > from && r.Time <= to {
-			out = append(out, mathx.Vector(r.Sample.Vector()))
-		}
+	hist := c.History()
+	lo := sort.Search(len(hist), func(i int) bool { return hist[i].Time > from })
+	hi := sort.Search(len(hist), func(i int) bool { return hist[i].Time > to })
+	if hi <= lo {
+		return nil
+	}
+	out := make([]mathx.Vector, 0, hi-lo)
+	for _, r := range hist[lo:hi] {
+		out = append(out, mathx.Vector(r.Sample.Vector()))
 	}
 	return out
 }

@@ -91,7 +91,8 @@ func (s *Suite) Fig3() (*Report, error) {
 				in := c.Deploy(p, tier)
 				in.SetLoadFactor(load)
 				c.Run(180)
-				return in.TailLatency(99), in.TailLatency(99.9)
+				tails := in.TailLatencies(99, 99.9)
+				return tails[0], tails[1]
 			}
 			l99, l999 := run(memsys.TierLocal)
 			r99, r999 := run(memsys.TierRemote)

@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -81,19 +82,20 @@ func RMSE(actual, pred Vector) float64 {
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of v using linear
-// interpolation between closest ranks. The input is not modified.
+// interpolation between closest ranks. The input is not modified: a private
+// copy is partitioned around the one or two order statistics read, and those
+// are the values a full sort would leave at their ranks.
 // Panics on an empty vector.
 func Percentile(v Vector, p float64) float64 {
 	if len(v) == 0 {
 		panic("mathx: Percentile of empty vector")
 	}
-	s := v.Clone()
-	sort.Float64s(s)
-	return percentileSorted(s, p)
+	o := newOrderStats(v)
+	return o.percentile(p, nil)
 }
 
 // PercentileSorted is like Percentile but assumes v is already sorted
-// ascending, avoiding the copy and sort.
+// ascending, avoiding the copy and the selection.
 func PercentileSorted(v Vector, p float64) float64 {
 	if len(v) == 0 {
 		panic("mathx: PercentileSorted of empty vector")
@@ -102,37 +104,148 @@ func PercentileSorted(v Vector, p float64) float64 {
 }
 
 func percentileSorted(s Vector, p float64) float64 {
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	o := orderStats{s: s, from: len(s)} // every rank already in place
+	return o.percentile(p, nil)
 }
 
 // Median returns the 50th percentile of v.
 func Median(v Vector) float64 { return Percentile(v, 50) }
 
-// Quantiles returns the requested percentiles of v in one pass (one sort).
-func Quantiles(v Vector, ps ...float64) Vector {
+// Quantiles returns the requested percentiles of v off one private copy.
+func Quantiles(v Vector, ps ...float64) Vector { return QuantilesMapped(v, nil, ps...) }
+
+// QuantilesMapped returns the requested percentiles of f applied to every
+// element of v, for a non-decreasing f, calling f only on the order
+// statistics read (rank k of v maps to rank k of the images). A nil f is the
+// identity. The copy is partitioned in ascending order of p, so each
+// percentile orders only what lies above the one before it.
+func QuantilesMapped(v Vector, f func(float64) float64, ps ...float64) Vector {
 	if len(v) == 0 {
 		panic("mathx: Quantiles of empty vector")
 	}
-	s := v.Clone()
-	sort.Float64s(s)
+	order := make([]int, len(ps))
+	for i := range order {
+		j := i
+		for ; j > 0 && ps[order[j-1]] > ps[i]; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
+	o := newOrderStats(v)
 	out := make(Vector, len(ps))
-	for i, p := range ps {
-		out[i] = percentileSorted(s, p)
+	for _, i := range order {
+		out[i] = o.percentile(ps[i], f)
 	}
 	return out
+}
+
+// orderStats reads order statistics off a private copy in ascending rank
+// order by selection: s[:from] holds the from smallest elements, those at
+// ranks already read in place. NaNs order first, as sort.Float64s has them.
+type orderStats struct {
+	s    Vector
+	from int
+}
+
+func newOrderStats(v Vector) orderStats {
+	s := v.Clone()
+	nan := 0
+	for i, x := range s {
+		if x != x {
+			s[i], s[nan] = s[nan], x
+			nan++
+		}
+	}
+	return orderStats{s: s, from: nan}
+}
+
+// at returns the element of rank k; ranks must not decrease between calls.
+func (o *orderStats) at(k int) float64 {
+	if k >= o.from {
+		selectRank(o.s[o.from:], k-o.from)
+		o.from = k + 1
+	}
+	return o.s[k]
+}
+
+// percentile interpolates linearly between the two ranks closest to the
+// p-th percentile of f's images (f nil: of the elements themselves).
+func (o *orderStats) percentile(p float64, f func(float64) float64) float64 {
+	rank := math.Min(math.Max(p, 0), 100) / 100 * float64(len(o.s)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	a := o.at(lo)
+	if f != nil {
+		a = f(a)
+	}
+	if lo == hi {
+		return a
+	}
+	b := o.at(hi)
+	if f != nil {
+		b = f(b)
+	}
+	frac := rank - float64(lo)
+	return a*(1-frac) + b*frac
+}
+
+// selectRank partitions NaN-free s so that s[k] is the element a sort would
+// put there, nothing before it is larger and nothing after it smaller
+// (Hoare's quickselect, median-of-three pivots). Rank 0 of what is left is a
+// single scan for the minimum — the upper neighbour of a rank just
+// selected. Short ranges, and a range that keeps drawing bad pivots, are
+// sorted outright.
+func selectRank(s Vector, k int) {
+	lo, hi := 0, len(s)-1
+	for budget := 2 * bits.Len(uint(len(s))); lo < hi; budget-- {
+		if k == lo {
+			m := lo
+			for i := lo + 1; i <= hi; i++ {
+				if s[i] < s[m] {
+					m = i
+				}
+			}
+			s[lo], s[m] = s[m], s[lo]
+			return
+		}
+		if hi-lo < 12 || budget == 0 {
+			sort.Float64s(s[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if s[mid] < s[lo] {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if s[hi] < s[lo] {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if s[hi] < s[mid] {
+			s[hi], s[mid] = s[mid], s[hi]
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for pivot < s[j] {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo..j] ≤ pivot ≤ s[i..hi], and anything between j and i equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // Summary holds basic distribution statistics.

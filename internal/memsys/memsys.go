@@ -171,6 +171,26 @@ type Node struct {
 	cfg    Config
 	fabric *thymesis.Fabric
 	last   Sample
+
+	// Tick's working storage, kept so a steady population resolves without
+	// allocating: the outcomes handed back, and per bandwidth pool the
+	// demands with traffic, the applications they belong to and (local
+	// pool; the fabric keeps its own) their grants.
+	outs          []Outcome
+	local, remote pool
+	localAlloc    []float64
+}
+
+// pool is the tick's view of one bandwidth pool: each tenant's traffic
+// demand and its index in the tick's demands.
+type pool struct {
+	demand []float64
+	idx    []int
+}
+
+func (p *pool) add(bps float64, i int) {
+	p.demand = append(p.demand, bps)
+	p.idx = append(p.idx, i)
 }
 
 // NewNode builds a node from a node config and a fabric config.
@@ -199,12 +219,16 @@ func (n *Node) LastSample() Sample {
 
 // Tick resolves one tick of contention. demands holds one entry per running
 // application; dt is the tick length in seconds. The returned outcomes are
-// index-aligned with demands.
+// index-aligned with demands and are the node's own storage: they are valid
+// until the next Tick.
 func (n *Node) Tick(demands []Demand, dt float64) ([]Outcome, Sample) {
 	if dt <= 0 {
 		panic(fmt.Sprintf("memsys: non-positive dt %g", dt))
 	}
-	outs := make([]Outcome, len(demands))
+	if cap(n.outs) < len(demands) {
+		n.outs = make([]Outcome, len(demands))
+	}
+	outs := n.outs[:len(demands)]
 
 	// --- CPU: equal-priority sharing of the core pool. ---
 	var cpuDemand float64
@@ -226,12 +250,13 @@ func (n *Node) Tick(demands []Demand, dt float64) ([]Outcome, Sample) {
 		occupancyScale = n.cfg.LLCBytes / totalWS
 	}
 
-	// First pass: per-app effective miss ratios and full-speed traffic.
-	type appTraffic struct {
-		bps     float64 // full-speed memory traffic demand
-		effMiss float64
-	}
-	traffic := make([]appTraffic, len(demands))
+	// First pass: per-app effective miss ratios and full-speed traffic,
+	// staged in the outcome (TrafficBps is the full-speed demand until the
+	// compose pass divides it by the slowdown), and the two bandwidth pools:
+	// local DRAM and the remote fabric.
+	n.local.demand, n.local.idx = n.local.demand[:0], n.local.idx[:0]
+	n.remote.demand, n.remote.idx = n.remote.demand[:0], n.remote.idx[:0]
+	var readWeight, totalTraffic float64
 	for i, d := range demands {
 		deficit := 1 - occupancyScale // fraction of working set evicted
 		effMiss := d.MissRatioIso + (1-d.MissRatioIso)*deficit
@@ -244,29 +269,15 @@ func (n *Node) Tick(demands []Demand, dt float64) ([]Outcome, Sample) {
 		if d.Tier == TierRemote {
 			missForTraffic = d.MissRatioIso
 		}
-		traffic[i] = appTraffic{
-			bps:     d.AccessRate * missForTraffic * n.cfg.LineBytes,
-			effMiss: effMiss,
-		}
-	}
-
-	// --- Bandwidth: local DRAM pool and remote fabric pool. ---
-	localDemand := make([]float64, 0, len(demands))
-	localIdx := make([]int, 0, len(demands))
-	remoteDemand := make([]float64, 0, len(demands))
-	remoteIdx := make([]int, 0, len(demands))
-	var readWeight, totalTraffic float64
-	for i, d := range demands {
-		t := traffic[i].bps
+		t := d.AccessRate * missForTraffic * n.cfg.LineBytes
+		outs[i] = Outcome{EffMissRatio: effMiss, TrafficBps: t}
 		if t <= 0 {
 			continue
 		}
 		if d.Tier == TierRemote {
-			remoteDemand = append(remoteDemand, t)
-			remoteIdx = append(remoteIdx, i)
+			n.remote.add(t, i)
 		} else {
-			localDemand = append(localDemand, t)
-			localIdx = append(localIdx, i)
+			n.local.add(t, i)
 		}
 		readWeight += t * (1 - d.WriteFraction)
 		totalTraffic += t
@@ -276,15 +287,17 @@ func (n *Node) Tick(demands []Demand, dt float64) ([]Outcome, Sample) {
 		readFraction = readWeight / totalTraffic
 	}
 
-	localAlloc := thymesis.MaxMinFair(localDemand, n.cfg.LocalBwBps/8)
-	fres := n.fabric.Tick(remoteDemand, readFraction, dt)
-
-	grants := make([]float64, len(demands))
-	for k, i := range localIdx {
-		grants[i] = localAlloc[k]
+	if cap(n.localAlloc) < len(n.local.demand) {
+		n.localAlloc = make([]float64, len(n.local.demand))
 	}
-	for k, i := range remoteIdx {
-		grants[i] = fres.Allocated[k]
+	localAlloc := n.localAlloc[:len(n.local.demand)]
+	thymesis.MaxMinFairInto(localAlloc, n.local.demand, n.cfg.LocalBwBps/8)
+	fres := n.fabric.Tick(n.remote.demand, readFraction, dt)
+	for k, i := range n.local.idx {
+		outs[i].GrantedBps = localAlloc[k]
+	}
+	for k, i := range n.remote.idx {
+		outs[i].GrantedBps = fres.Allocated[k]
 	}
 
 	// --- Compose per-app slowdowns (R7: multiplicative stacking). ---
@@ -296,13 +309,12 @@ func (n *Node) Tick(demands []Demand, dt float64) ([]Outcome, Sample) {
 			o.CPUSlow = cpuPressure
 		}
 
-		deficitMiss := traffic[i].effMiss - d.MissRatioIso
+		deficitMiss := o.EffMissRatio - d.MissRatioIso
 		o.LLCSlow = 1 + d.CacheSens*deficitMiss*4 // extra misses stall the core
-		o.EffMissRatio = traffic[i].effMiss
 
 		o.BwSlow = 1
-		if t := traffic[i].bps; t > 0 {
-			s := thymesis.Slowdown(t, grants[i])
+		if t := o.TrafficBps; t > 0 {
+			s := thymesis.Slowdown(t, o.GrantedBps)
 			if math.IsInf(s, 1) {
 				s = 100 // starved, but keep finite for the fluid model
 			}
@@ -319,8 +331,7 @@ func (n *Node) Tick(demands []Demand, dt float64) ([]Outcome, Sample) {
 		if o.Slowdown < 1 {
 			o.Slowdown = 1
 		}
-		o.GrantedBps = grants[i]
-		o.TrafficBps = traffic[i].bps / o.Slowdown
+		o.TrafficBps /= o.Slowdown
 	}
 
 	// --- System-wide counters (R3: remote traffic hits local counters). ---

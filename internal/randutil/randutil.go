@@ -13,12 +13,23 @@ import (
 // distributions the simulator needs. Source is not safe for concurrent use;
 // derive per-goroutine children with Split.
 type Source struct {
-	rng *rand.Rand
+	seed int64
+	gen  *rand.Rand // built from seed by the first draw
 }
 
-// New returns a Source seeded with seed.
+// New returns a Source seeded with seed. Seeding math/rand fills a 607-word
+// table; that is left to the first draw, so a stream that is handed out and
+// never sampled (every best-effort instance's) costs one small allocation.
+// The stream is a function of the seed alone either way.
 func New(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed))}
+	return &Source{seed: seed}
+}
+
+func (s *Source) rng() *rand.Rand {
+	if s.gen == nil {
+		s.gen = rand.New(rand.NewSource(s.seed))
+	}
+	return s.gen
 }
 
 // Split derives a child Source whose stream is a deterministic function of
@@ -26,7 +37,7 @@ func New(seed int64) *Source {
 // decorrelated from each other and from the parent's subsequent draws.
 func (s *Source) Split(label int64) *Source {
 	// SplitMix64-style scramble of the parent's next value and the label.
-	z := uint64(s.rng.Int63()) + uint64(label)*0x9E3779B97F4A7C15
+	z := uint64(s.rng().Int63()) + uint64(label)*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
@@ -34,17 +45,17 @@ func (s *Source) Split(label int64) *Source {
 }
 
 // Float64 returns a uniform draw in [0, 1).
-func (s *Source) Float64() float64 { return s.rng.Float64() }
+func (s *Source) Float64() float64 { return s.rng().Float64() }
 
 // Intn returns a uniform draw in [0, n). Panics if n <= 0.
-func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
+func (s *Source) Intn(n int) int { return s.rng().Intn(n) }
 
 // Int63 returns a non-negative 63-bit draw.
-func (s *Source) Int63() int64 { return s.rng.Int63() }
+func (s *Source) Int63() int64 { return s.rng().Int63() }
 
 // Uniform returns a uniform draw in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.rng.Float64()
+	return lo + (hi-lo)*s.rng().Float64()
 }
 
 // UniformInt returns a uniform integer draw in [lo, hi] inclusive.
@@ -53,12 +64,12 @@ func (s *Source) UniformInt(lo, hi int) int {
 	if hi < lo {
 		panic("randutil: UniformInt with hi < lo")
 	}
-	return lo + s.rng.Intn(hi-lo+1)
+	return lo + s.rng().Intn(hi-lo+1)
 }
 
 // Normal returns a Gaussian draw with the given mean and standard deviation.
 func (s *Source) Normal(mean, std float64) float64 {
-	return mean + std*s.rng.NormFloat64()
+	return mean + std*s.rng().NormFloat64()
 }
 
 // LogNormal returns a draw whose logarithm is Normal(mu, sigma).
@@ -72,7 +83,7 @@ func (s *Source) Exponential(mean float64) float64 {
 	if mean <= 0 {
 		panic("randutil: Exponential with non-positive mean")
 	}
-	return s.rng.ExpFloat64() * mean
+	return s.rng().ExpFloat64() * mean
 }
 
 // Bernoulli returns true with probability p (clamped to [0,1]).
@@ -83,7 +94,7 @@ func (s *Source) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.rng.Float64() < p
+	return s.rng().Float64() < p
 }
 
 // Choice returns a uniformly random index in [0, n) — convenience alias of
@@ -103,7 +114,7 @@ func (s *Source) WeightedChoice(weights []float64) int {
 	if total <= 0 {
 		panic("randutil: WeightedChoice with no positive weight")
 	}
-	x := s.rng.Float64() * total
+	x := s.rng().Float64() * total
 	for i, w := range weights {
 		if w <= 0 {
 			continue
@@ -128,7 +139,7 @@ func (s *Source) Shuffle(n int) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	s.rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	s.rng().Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 	return idx
 }
 
@@ -152,7 +163,7 @@ func (s *Source) Zipf(n int, theta float64) int {
 	for i := 1; i <= n; i++ {
 		h += 1 / math.Pow(float64(i), theta)
 	}
-	x := s.rng.Float64() * h
+	x := s.rng().Float64() * h
 	var c float64
 	for i := 1; i <= n; i++ {
 		c += 1 / math.Pow(float64(i), theta)

@@ -2,6 +2,7 @@ package randutil
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -221,5 +222,59 @@ func TestJitterRange(t *testing.T) {
 		if x < 90 || x >= 110 {
 			t.Fatalf("Jitter out of range: %v", x)
 		}
+	}
+}
+
+// eagerSplit is Split as it was when every Source seeded math/rand at
+// construction: the reference the lazily seeded Source must reproduce.
+func eagerSplit(parent *rand.Rand, label int64) *rand.Rand {
+	z := uint64(parent.Int63()) + uint64(label)*0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	z ^= z >> 31
+	return rand.New(rand.NewSource(int64(z)))
+}
+
+// TestSplitLazyMatchesEager splits children off a parent — some sampled at
+// once, some much later, some never — and checks each child's first 1 000
+// draws and the parent's draws between and after the splits against
+// eagerly seeded math/rand streams.
+func TestSplitLazyMatchesEager(t *testing.T) {
+	parent, ref := New(99), rand.New(rand.NewSource(99))
+	var kids []*Source
+	var refKids []*rand.Rand
+	for label := int64(1); label <= 8; label++ {
+		kids = append(kids, parent.Split(label))
+		refKids = append(refKids, eagerSplit(ref, label))
+		if label%3 == 0 { // the parent keeps drawing between splits
+			if got, want := parent.Float64(), ref.Float64(); got != want {
+				t.Fatalf("parent draw after split %d = %v, eager %v", label, got, want)
+			}
+		}
+	}
+	for k := len(kids) - 1; k >= 0; k -= 2 { // every other child, last first; the rest never draw
+		for i := 0; i < 1000; i++ {
+			var got, want float64
+			switch i % 3 {
+			case 0:
+				got, want = kids[k].Normal(1, 2), 1+2*refKids[k].NormFloat64()
+			case 1:
+				got, want = float64(kids[k].Intn(i+1)), float64(refKids[k].Intn(i+1))
+			default:
+				got, want = kids[k].Float64(), refKids[k].Float64()
+			}
+			if got != want {
+				t.Fatalf("child %d draw %d = %v, eager %v", k, i, got, want)
+			}
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		if got, want := parent.Int63(), ref.Int63(); got != want {
+			t.Fatalf("parent draw %d after the splits = %v, eager %v", i, got, want)
+		}
+	}
+	grand, refGrand := kids[0].Split(5), eagerSplit(refKids[0], 5)
+	if got, want := grand.Int63(), refGrand.Int63(); got != want {
+		t.Fatalf("grandchild of an unsampled child = %v, eager %v", got, want)
 	}
 }

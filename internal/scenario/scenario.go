@@ -124,8 +124,8 @@ func Run(cfg Config, reg *workload.Registry, decide Decider) (Result, error) {
 			ExecTime: in.ExecTime(c.Now()),
 		}
 		if in.Profile.Class == workload.LatencyCritical {
-			run.P99Ms = in.TailLatency(99)
-			run.P999Ms = in.TailLatency(99.9)
+			tails := in.TailLatencies(99, 99.9)
+			run.P99Ms, run.P999Ms = tails[0], tails[1]
 		}
 		res.Runs = append(res.Runs, run)
 		if cfg.OnComplete != nil {

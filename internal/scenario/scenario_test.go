@@ -212,3 +212,18 @@ func TestRunCorpusSmall(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkScenarioRun900 is one replayed scenario in the evaluation's shape
+// (900 s of arrivals every U(5,30) s, 35 % iBench, run to drain) with every
+// application on local memory: the testbed's cost with no model in the loop.
+func BenchmarkScenarioRun900(b *testing.B) {
+	cfg := quickConfig(100100)
+	cfg.DurationSec = 900
+	allLocal := func(*workload.Profile, *cluster.Cluster) memsys.Tier { return memsys.TierLocal }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg, registry, allLocal); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

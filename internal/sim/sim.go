@@ -56,7 +56,9 @@ func (q *eventQueue) Pop() any {
 }
 
 // Ticker is a callback invoked at every fixed tick boundary, in registration
-// order, after all events at or before the tick time have fired.
+// order, after all events at or before the tick time have fired. dt is
+// always the engine's tick period — the fluid models integrate whole ticks —
+// however recently an event moved the clock.
 type Ticker func(now Time, dt Time)
 
 // Engine is the simulation core. The zero value is not usable; construct
@@ -149,12 +151,10 @@ func (e *Engine) Run(until Time) {
 			e.fired++
 			ev.Fire(e)
 		case e.nextTick <= until:
-			dt := e.nextTick - e.now
 			e.now = e.nextTick
 			for _, t := range e.tickers {
 				t(e.now, e.tick)
 			}
-			_ = dt
 			e.nextTick += e.tick
 		default:
 			e.now = until

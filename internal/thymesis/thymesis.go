@@ -87,6 +87,7 @@ type Counters struct {
 // TickResult is the outcome of resolving one tick of fabric demand.
 type TickResult struct {
 	// Allocated is the per-demand granted bandwidth (B/s), max-min fair.
+	// It is the fabric's own storage, valid until its next Tick.
 	Allocated []float64
 	// DeliveredBps is the total granted bandwidth in bits per second.
 	DeliveredBps float64
@@ -128,10 +129,11 @@ func (d Degradation) Active() bool {
 // Fabric is the point-to-point ThymesisFlow link between the borrower and
 // the lender node. Not safe for concurrent use.
 type Fabric struct {
-	cfg  Config
-	ctrs Counters
-	last TickResult
-	deg  Degradation
+	cfg   Config
+	ctrs  Counters
+	last  TickResult
+	deg   Degradation
+	alloc []float64 // Tick's grants, reused from tick to tick
 }
 
 // New returns a Fabric with the given configuration.
@@ -173,43 +175,47 @@ func (f *Fabric) Degraded() bool { return f.deg.Active() }
 // length as demands and sums to min(Σdemands, capacity) up to float error.
 func MaxMinFair(demands []float64, capacity float64) []float64 {
 	alloc := make([]float64, len(demands))
-	if capacity <= 0 || len(demands) == 0 {
-		return alloc
+	MaxMinFairInto(alloc, demands, capacity)
+	return alloc
+}
+
+// MaxMinFairInto is MaxMinFair writing into alloc (same length as demands,
+// previous contents ignored) and allocating nothing. A positive demand is
+// unsatisfied exactly while its grant is still zero, so the grants double
+// as the working set and every round scans demands in index order.
+func MaxMinFairInto(alloc, demands []float64, capacity float64) {
+	unsat := 0
+	for i, d := range demands {
+		alloc[i] = 0
+		if d > 0 {
+			unsat++
+		}
+	}
+	if capacity <= 0 {
+		return
 	}
 	remaining := capacity
-	unsat := make([]int, 0, len(demands))
-	need := make([]float64, len(demands))
-	for i, d := range demands {
-		if d > 0 {
-			unsat = append(unsat, i)
-			need[i] = d
-		}
-	}
-	for len(unsat) > 0 && remaining > 1e-12 {
-		share := remaining / float64(len(unsat))
-		next := unsat[:0]
-		progressed := false
-		for _, i := range unsat {
-			if need[i] <= share {
-				alloc[i] += need[i]
-				remaining -= need[i]
-				need[i] = 0
-				progressed = true
-			} else {
-				next = append(next, i)
+	for unsat > 0 && remaining > 1e-12 {
+		share := remaining / float64(unsat)
+		left := unsat
+		for i, d := range demands {
+			if d > 0 && alloc[i] == 0 && d <= share {
+				alloc[i] = d
+				remaining -= d
+				left--
 			}
 		}
-		unsat = next
-		if !progressed {
+		if left == unsat {
 			// Everyone needs at least the equal share: split evenly and stop.
-			for _, i := range unsat {
-				alloc[i] += share
+			for i, d := range demands {
+				if d > 0 && alloc[i] == 0 {
+					alloc[i] = share
+				}
 			}
-			remaining -= share * float64(len(unsat))
-			break
+			return
 		}
+		unsat = left
 	}
-	return alloc
 }
 
 // latencyCycles implements the R2 back-pressure model: flat at base latency
@@ -246,7 +252,11 @@ func (f *Fabric) Tick(demandsBytesPerSec []float64, readFraction, dt float64) Ti
 	if f.deg.Down {
 		capBytes = 0
 	}
-	alloc := MaxMinFair(demandsBytesPerSec, capBytes)
+	if cap(f.alloc) < len(demandsBytesPerSec) {
+		f.alloc = make([]float64, len(demandsBytesPerSec))
+	}
+	alloc := f.alloc[:len(demandsBytesPerSec)]
+	MaxMinFairInto(alloc, demandsBytesPerSec, capBytes)
 
 	var offered, delivered float64
 	for i, d := range demandsBytesPerSec {

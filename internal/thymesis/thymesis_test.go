@@ -2,6 +2,7 @@ package thymesis
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +115,82 @@ func TestMaxMinFairProperty(t *testing.T) {
 // TestFig2Shape verifies the three published remarks R1/R2 against the model:
 // bandwidth caps at ~2.5 Gbps and latency steps from ~350 to ~900 cycles
 // between 4 and 8 memory-bandwidth hogs.
+// maxMinFairLists is progressive filling as MaxMinFair wrote it before its
+// working lists were folded into the grants: an index list of unsatisfied
+// demands, rebuilt every round, and a remaining-need vector.
+func maxMinFairLists(demands []float64, capacity float64) []float64 {
+	alloc := make([]float64, len(demands))
+	if capacity <= 0 || len(demands) == 0 {
+		return alloc
+	}
+	remaining := capacity
+	unsat := make([]int, 0, len(demands))
+	need := make([]float64, len(demands))
+	for i, d := range demands {
+		if d > 0 {
+			unsat = append(unsat, i)
+			need[i] = d
+		}
+	}
+	for len(unsat) > 0 && remaining > 1e-12 {
+		share := remaining / float64(len(unsat))
+		next := unsat[:0]
+		progressed := false
+		for _, i := range unsat {
+			if need[i] <= share {
+				alloc[i] += need[i]
+				remaining -= need[i]
+				need[i] = 0
+				progressed = true
+			} else {
+				next = append(next, i)
+			}
+		}
+		unsat = next
+		if !progressed {
+			for _, i := range unsat {
+				alloc[i] += share
+			}
+			break
+		}
+	}
+	return alloc
+}
+
+// The list-free core must grant every tenant the same bits, whatever the
+// storage held before.
+func TestMaxMinFairIntoMatchesLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	alloc := make([]float64, 0, 16)
+	for trial := 0; trial < 5000; trial++ {
+		demands := make([]float64, rng.Intn(16))
+		for i := range demands {
+			switch rng.Intn(6) {
+			case 0:
+				demands[i] = 0
+			case 1:
+				demands[i] = -rng.Float64()
+			case 2:
+				demands[i] = 1e8 // ties
+			default:
+				demands[i] = math.Exp(14 + 6*rng.Float64())
+			}
+		}
+		capacity := []float64{0, -1, 1e-13, 3.125e8, 6e10}[rng.Intn(5)]
+		alloc = alloc[:len(demands)]
+		for i := range alloc {
+			alloc[i] = rng.Float64() // stale grants from the tick before
+		}
+		MaxMinFairInto(alloc, demands, capacity)
+		want := maxMinFairLists(demands, capacity)
+		for i := range want {
+			if math.Float64bits(alloc[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("demands %v capacity %v: grant %d = %v, list reference %v", demands, capacity, i, alloc[i], want[i])
+			}
+		}
+	}
+}
+
 func TestFig2Shape(t *testing.T) {
 	const perHog = 0.6e9 / 8 // ≈0.6 Gbps demand per memBw microbenchmark, in B/s
 	lat := map[int]float64{}

@@ -34,6 +34,9 @@ type Instance struct {
 	done       bool
 	loadFactor float64 // LC: offered load scale (1 = profile target)
 
+	// latReservoir samples the logarithms of the response times: drawing
+	// one needs no exp, and only the order statistics TailLatencies reads
+	// are ever exponentiated.
 	latReservoir mathx.Vector
 	latSeen      int64
 	rng          *randutil.Source
@@ -170,7 +173,7 @@ func (in *Instance) sampleLatencies(s, rate float64) {
 	}
 	mu := math.Log(median)
 	for i := 0; i < latSamplesPerTick; i++ {
-		x := in.rng.LogNormal(mu, p.LatSigma)
+		x := in.rng.Normal(mu, p.LatSigma)
 		in.latSeen++
 		if len(in.latReservoir) < maxLatSamples {
 			in.latReservoir = append(in.latReservoir, x)
@@ -196,10 +199,18 @@ func (in *Instance) OpsServed() float64 { return in.opsServed }
 // milliseconds from the collected samples. It returns 0 if the instance has
 // no samples (BE instances never have any).
 func (in *Instance) TailLatency(pct float64) float64 {
+	return in.TailLatencies(pct)[0]
+}
+
+// TailLatencies is TailLatency for several percentiles read off one
+// partition of the samples. exp is increasing, so the sample of rank k is
+// the exp of the rank-k logarithm, and the percentiles interpolate between
+// the same two response times as if every sample had been exponentiated.
+func (in *Instance) TailLatencies(pcts ...float64) []float64 {
 	if len(in.latReservoir) == 0 {
-		return 0
+		return make([]float64, len(pcts))
 	}
-	return mathx.Percentile(in.latReservoir, pct)
+	return mathx.QuantilesMapped(in.latReservoir, math.Exp, pcts...)
 }
 
 // LatencySampleCount returns the number of retained latency samples.

@@ -2,9 +2,11 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"adrias/internal/mathx"
 	"adrias/internal/memsys"
 	"adrias/internal/randutil"
 )
@@ -351,5 +353,65 @@ func TestPropertySlowdownClamped(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTailLatenciesMatchEagerExp drives an LC instance past the point where
+// its reservoir starts replacing samples, under a slowdown that keeps
+// changing, beside a reference that exponentiates every draw of the same
+// stream, keeps the response times themselves and sorts them to read a
+// percentile. Every percentile must agree to the last bit.
+func TestTailLatenciesMatchEagerExp(t *testing.T) {
+	p := &Profile{
+		Name: "longlc", Class: LatencyCritical,
+		TotalOps: 1e12, MaxOpsPerSec: 60e3, TargetOpsRate: 30e3,
+		BaseP50Ms: 0.45, LatSigma: 0.55, RemoteLatFrac: 0.06,
+		RemotePenaltyIso: 1, InterfSens: 0.5,
+	}
+	for _, tier := range []memsys.Tier{memsys.TierLocal, memsys.TierRemote} {
+		in := NewInstance(1, p, tier, 0, randutil.New(21))
+		ref := randutil.New(21)
+		var vals []float64
+		seen := 0
+		for tick := 1; tick <= 900; tick++ {
+			raw := 1 + 3*math.Abs(math.Sin(float64(tick)/17))
+			in.Advance(float64(tick), 1, raw)
+
+			s := 1 + (raw-1)*p.InterfSens
+			rate := math.Min(p.TargetOpsRate, p.MaxOpsPerSec/s)
+			median := p.BaseP50Ms * s * (1 + 2*math.Pow(math.Min(rate*s/p.MaxOpsPerSec, 1), 3))
+			if tier == memsys.TierRemote {
+				median *= 1 + p.RemoteLatFrac
+			}
+			mu := math.Log(median)
+			for i := 0; i < latSamplesPerTick; i++ {
+				x := ref.LogNormal(mu, p.LatSigma)
+				seen++
+				if len(vals) < maxLatSamples {
+					vals = append(vals, x)
+				} else if j := ref.Intn(seen); j < maxLatSamples {
+					vals[j] = x
+				}
+			}
+			if tick != 1 && tick != 300 && tick != 900 {
+				continue
+			}
+			sorted := append([]float64(nil), vals...)
+			sort.Float64s(sorted)
+			pcts := []float64{50, 99, 99.9, 100}
+			got := in.TailLatencies(pcts...)
+			for i, pct := range pcts {
+				want := mathx.PercentileSorted(sorted, pct)
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Errorf("%v tick %d: p%v = %v, eager reference %v", tier, tick, pct, got[i], want)
+				}
+				if one := in.TailLatency(pct); one != got[i] {
+					t.Errorf("%v tick %d: TailLatency(%v) = %v, TailLatencies %v", tier, tick, pct, one, got[i])
+				}
+			}
+		}
+		if in.LatencySampleCount() != maxLatSamples {
+			t.Fatalf("reservoir holds %d samples, want it full", in.LatencySampleCount())
+		}
 	}
 }

@@ -29,6 +29,11 @@
 #     box measures scheduler noise, not the check — but the honest ratio
 #     is recorded either way.
 #
+#   * a steady-state tick of the simulated testbed allocates nothing
+#     (BenchmarkClusterTick12, recorded as cluster_tick_allocs). The cost of
+#     one replayed 900 s scenario (BenchmarkScenarioRun900) is recorded
+#     beside it as scenario_run_ms — recorded, not gated.
+#
 # The serve hot-path benchmarks move the monitoring window before every batch,
 # so the gates above keep measuring inference, not the per-window prediction
 # memo. Their ...Warm twins (window left alone, every query a memo hit) run
@@ -68,6 +73,11 @@ echo "== bench-gate: sharded placement throughput (replicas 1/2/4, -cpu=4) =="
 go test -run='^$' -cpu=4 -benchtime="$BENCHTIME" \
   -bench='^BenchmarkPlaceThroughputR(1|2|4|4Learn)$' \
   ./internal/serve | tee -a "$bench_txt"
+
+echo "== bench-gate: simulated testbed (steady-state tick, one 900 s scenario) =="
+go test -run='^$' -cpu=1 -benchtime="$BENCHTIME" \
+  -bench='^(BenchmarkClusterTick12|BenchmarkScenarioRun900)$' \
+  ./internal/cluster ./internal/scenario | tee -a "$bench_txt"
 
 echo "== bench-gate: decision-flip contract (fast scale) =="
 go run ./cmd/adrias-bench -scale fast -quant | tee "$flip_txt"
@@ -138,6 +148,10 @@ END {
   printf "  \"place_throughput_r4_learn\": %.0f,\n", r4l > out
   printf "  \"place_learn_overhead\": %.3f,\n", learn_overhead > out
   printf "  \"learn_budget\": %s,\n", learn_budget > out
+  sr = ns["BenchmarkScenarioRun900"]
+  printf "  \"scenario_run_ms\": %s,\n", (sr == "null" || sr == "") ? "null" : sprintf("%.3f", sr / 1e6) > out
+  ta = alloc["BenchmarkClusterTick12"]
+  printf "  \"cluster_tick_allocs\": %s,\n", (ta == "") ? "null" : ta > out
   printf "  \"bench_cpus\": %d\n}\n", ncpu > out
   close(out)
 
@@ -145,6 +159,7 @@ END {
   gated["BenchmarkPerfPredictEachQuantB8"] = 1
   gated["BenchmarkServeHotPathQuantB8"] = 1
   gated["BenchmarkServeHotPathQuantB8Events"] = 1
+  gated["BenchmarkClusterTick12"] = 1
   for (name in gated) {
     if (!(name in seen)) {
       printf "FAIL %s: benchmark did not run\n", name; failed = 1
