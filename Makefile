@@ -19,11 +19,12 @@ BENCH ?= ^(BenchmarkTable1SystemState|BenchmarkPerfFitWorkers)$$
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCH)' -benchtime=1x .
 
-## bench-gate: the quantized-fast-path gate — batch-8 quant vs float
-## benchmarks at one core plus the decision-flip contract replay; writes
-## BENCH_quantfast.json and fails on >0 allocs/op, flip rate > 1%, or a
-## serve speedup below 1.5x, or a testbed tick that allocates. Tunables:
-## FLIP_BUDGET, MIN_SPEEDUP, BENCHTIME.
+## bench-gate: the inference-fast-path gate — batch-8 benchmarks of both
+## predictors at one core plus the decision-flip contract replay; writes
+## BENCH_quantfast.json and fails on >0 allocs/op (serve hot path float and
+## int8, single-app float Decide, testbed tick) or a flip rate > 1%; the
+## quant/float ratio is recorded, not gated. Tunables: FLIP_BUDGET,
+## BENCHTIME.
 bench-gate:
 	./scripts/bench_gate.sh
 

@@ -13,7 +13,7 @@ import (
 // fast configuration costs a few seconds.
 var trainedSystem *System
 
-func system(t *testing.T) *System {
+func system(t testing.TB) *System {
 	t.Helper()
 	if trainedSystem == nil {
 		opts := FastOptions()

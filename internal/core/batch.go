@@ -22,47 +22,98 @@ type PerfQuery struct {
 	Tier  memsys.Tier
 }
 
-// PredictPerfBatch answers many queries against one shared history window.
-// Queries already asked against this window are answered from the
-// predictor's memo (predMemo; bit-identical, the models are deterministic
-// per sample); for the rest the future system state Ŝ is propagated once
-// through the system-state model and reused by every query, and each
-// class's queries run as one minibatch through that performance model's
-// lockstep-batched inference — the admission-batching fast path: N coalesced
-// placement requests cost one Ŝ forecast plus two batched model calls
-// instead of up to 3·N single inferences, and repeated inputs (the shared
-// window, each app's signature asked for both tiers) are encoded once.
-// Results and errors are per-query; a failing query (e.g. an app with no
-// signature) does not abort the others.
+// sysForecaster and perfPredictor are the two methods the shared prediction
+// body needs of its models; the float models and their int8 twins both have
+// them, writing into caller-owned results over arenas the model owns.
+type sysForecaster interface {
+	PredictInto(dst mathx.Vector, past []mathx.Vector)
+}
+
+type perfPredictor interface {
+	PredictEachInto(samples []models.PerfSample, kind models.FutureKind, preds mathx.Vector, errs []error)
+}
+
+// orNil hands a class model to predict as an interface, keeping an absent
+// one (a nil pointer) a nil interface rather than a typed nil.
+func orNil[M interface {
+	comparable
+	perfPredictor
+}](m M) perfPredictor {
+	var absent M
+	if m == absent {
+		return nil
+	}
+	return m
+}
+
+// predictArena is the one body of PredictPerfBatch and everything it
+// reuses between batches: the per-window memo (with the window's Ŝ) and the
+// result, sample and index scratch. It belongs to one predictor value and
+// follows its single-caller contract. The preds/errs it returns are
+// arena-owned: valid until the next PredictPerfBatch on the same predictor.
+// Every caller consumes them before asking again (DecideBatchWindow within
+// the batch; faults.GuardedPredictor copies what it keeps into its
+// last-good map; learn's flip replay asks two different predictors); one
+// that needs them longer copies them.
+type predictArena struct {
+	memo         predMemo
+	preds, clsP  mathx.Vector
+	errs, clsE   []error
+	beS, lcS     []models.PerfSample
+	beIdx, lcIdx []int
+}
+
+// predict answers many queries against one shared history window. Queries
+// already asked against this window are answered from the memo (predMemo;
+// bit-identical, the models are deterministic per sample); for the rest the
+// future system state Ŝ is propagated through the system-state model once
+// per window — a later batch with new queries against the same window
+// reuses it — and each class's queries run as one minibatch through that
+// performance model: N coalesced placement requests cost at most one Ŝ
+// forecast plus two batched model calls instead of up to 3·N single
+// inferences, and repeated inputs (the shared window, each app's signature)
+// are encoded once. Results and errors are per-query; a failing query (e.g.
+// an app with no signature) does not abort the others. be or lc may be nil
+// (no model for the class: its queries error).
 //
 // When ctx carries an obs.SpanRecorder, the Ŝ forecast and the performance
-// inference are recorded as the "sysstate_predict" and "perf_predict"
-// stages — for batches that compute something; a batch answered wholly from
-// the memo records neither. Without a recorder the instrumentation is a
-// no-op.
-func (p *Predictor) PredictPerfBatch(ctx context.Context, queries []PerfQuery, window []mathx.Vector) (mathx.Vector, []error) {
-	preds := mathx.NewVector(len(queries))
-	errs := make([]error, len(queries))
-	if len(queries) == 0 {
-		return preds, errs
+// inference are recorded as the "sysstate_predict" and "perf_predict" stages
+// when they run; a batch answered wholly from the memo records neither.
+// Without a recorder the instrumentation is a no-op.
+func (a *predictArena) predict(ctx context.Context, sys sysForecaster, be, lc perfPredictor,
+	sigs *models.SignatureStore, stats *MemoStats, queries []PerfQuery, window []mathx.Vector) (mathx.Vector, []error) {
+	n := len(queries)
+	if cap(a.preds) < n {
+		a.preds, a.clsP = mathx.NewVector(n), mathx.NewVector(n)
+		a.errs, a.clsE = make([]error, n), make([]error, n)
+	}
+	a.preds, a.errs = a.preds[:n], a.errs[:n]
+	for i := range a.preds {
+		a.preds[i], a.errs[i] = 0, nil
+	}
+	if n == 0 {
+		return a.preds, a.errs
 	}
 	if len(window) == 0 {
 		err := fmt.Errorf("core: empty history window")
-		for i := range errs {
-			errs[i] = err
+		for i := range a.errs {
+			a.errs[i] = err
 		}
-		return preds, errs
+		return a.preds, a.errs
 	}
-	miss := p.memo.lookup(p.Memo, p.Sigs, window, queries, preds)
+	miss := a.memo.lookup(stats, sigs, window, queries, a.preds)
 	if len(miss) == 0 {
-		return preds, errs
+		return a.preds, a.errs
 	}
-	endSys := obs.StartSpan(ctx, "sysstate_predict")
-	fut := p.Sys.Predict(window)
-	endSys()
+	if !a.memo.hasFut {
+		endSys := obs.StartSpan(ctx, "sysstate_predict")
+		sys.PredictInto(a.memo.fut, window)
+		endSys()
+		a.memo.hasFut = true
+	}
 
-	var beSamples, lcSamples []models.PerfSample
-	var beIdx, lcIdx []int
+	a.beS, a.lcS = a.beS[:0], a.lcS[:0]
+	a.beIdx, a.lcIdx = a.beIdx[:0], a.lcIdx[:0]
 	for _, i := range miss {
 		q := queries[i]
 		remote := 0.0
@@ -73,38 +124,48 @@ func (p *Predictor) PredictPerfBatch(ctx context.Context, queries []PerfQuery, w
 			App:        q.Name,
 			Remote:     remote,
 			Past:       window,
-			FuturePred: fut,
+			FuturePred: a.memo.fut,
 		}
 		if q.Class == ClassLC {
-			lcSamples = append(lcSamples, s)
-			lcIdx = append(lcIdx, i)
+			a.lcS = append(a.lcS, s)
+			a.lcIdx = append(a.lcIdx, i)
 		} else {
-			beSamples = append(beSamples, s)
-			beIdx = append(beIdx, i)
-		}
-	}
-	scatter := func(m *models.PerfModel, samples []models.PerfSample, idx []int, class PerfClass) {
-		if len(samples) == 0 {
-			return
-		}
-		if m == nil {
-			err := fmt.Errorf("core: no model for class %v", class)
-			for _, i := range idx {
-				errs[i] = err
-			}
-			return
-		}
-		ps, es := m.PredictEach(samples, models.FuturePredicted)
-		for k, i := range idx {
-			preds[i], errs[i] = ps[k], es[k]
+			a.beS = append(a.beS, s)
+			a.beIdx = append(a.beIdx, i)
 		}
 	}
 	endPerf := obs.StartSpan(ctx, "perf_predict")
-	scatter(p.BE, beSamples, beIdx, ClassBE)
-	scatter(p.LC, lcSamples, lcIdx, ClassLC)
+	a.scatter(be, a.beS, a.beIdx, ClassBE)
+	a.scatter(lc, a.lcS, a.lcIdx, ClassLC)
 	endPerf()
-	p.memo.store(queries, miss, preds, errs)
-	return preds, errs
+	a.memo.store(queries, miss, a.preds, a.errs)
+	return a.preds, a.errs
+}
+
+// scatter runs one class's samples through its model and writes the results
+// back to the queries they came from.
+func (a *predictArena) scatter(m perfPredictor, samples []models.PerfSample, idx []int, class PerfClass) {
+	if len(samples) == 0 {
+		return
+	}
+	if m == nil {
+		err := fmt.Errorf("core: no model for class %v", class)
+		for _, i := range idx {
+			a.errs[i] = err
+		}
+		return
+	}
+	ps, es := a.clsP[:len(samples)], a.clsE[:len(samples)]
+	m.PredictEachInto(samples, models.FuturePredicted, ps, es)
+	for k, i := range idx {
+		a.preds[i], a.errs[i] = ps[k], es[k]
+	}
+}
+
+// PredictPerfBatch implements PerfInference over the float models; see
+// predictArena for the contract (results are arena-owned).
+func (p *Predictor) PredictPerfBatch(ctx context.Context, queries []PerfQuery, window []mathx.Vector) (mathx.Vector, []error) {
+	return p.arena.predict(ctx, p.Sys, orNil(p.BE), orNil(p.LC), p.Sigs, p.Memo, queries, window)
 }
 
 // finitePred reports whether v is a usable prediction: finite and
@@ -145,9 +206,9 @@ func (o *Orchestrator) DecideBatch(ctx context.Context, profiles []*workload.Pro
 // DecideBatchInto is the allocation-free core of DecideBatch: it decides
 // every profile into the caller-owned ds (len(profiles) entries) with all
 // batch scratch held by the orchestrator. In steady state — fixed batch
-// shape, warm arenas, decision ring at its retention bound, and an Infer
-// path that predicts into arenas (QuantPredictor) — a decide allocates
-// nothing. Like DecideBatch it must not run concurrently with itself.
+// shape, warm arenas, decision ring at its retention bound — a decide
+// allocates nothing, on the float predictor and the int8 twin alike. Like
+// DecideBatch it must not run concurrently with itself.
 func (o *Orchestrator) DecideBatchInto(ctx context.Context, profiles []*workload.Profile, c *cluster.Cluster, ds []Decision) {
 	fabricDown := o.FabricDegraded != nil && o.FabricDegraded()
 	o.DecideBatchWindow(ctx, profiles, o.Watch.WindowInto(c),

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"adrias/internal/mathx"
+	"adrias/internal/memsys"
 	"adrias/internal/models"
 )
 
@@ -16,9 +17,10 @@ type MemoStats struct {
 }
 
 // predMemo is the prediction memo at the bottom of the inference stack: for
-// the last history window seen it remembers the prediction computed for each
-// PerfQuery, so the models run only for queries not yet asked against that
-// window. The Watcher window moves once per testbed tick while placements
+// the last history window seen it remembers the window's Ŝ forecast and the
+// prediction computed for each PerfQuery, so the performance models run only
+// for queries not yet asked against that window and the system-state model
+// once per window, however many batches ask about it. The Watcher window moves once per testbed tick while placements
 // arrive far faster, and between two ticks a (window, signatures, query)
 // triple has exactly one answer — the models are deterministic per sample —
 // so a remembered prediction is the bit-identical one.
@@ -33,6 +35,8 @@ type MemoStats struct {
 // is.
 type predMemo struct {
 	win    mathx.Vector // flattened copy of the remembered window
+	fut    mathx.Vector // the window's Ŝ, valid while hasFut (the caller fills it)
+	hasFut bool
 	sigs   *models.SignatureStore
 	sigVer uint64
 	vals   map[PerfQuery]float64
@@ -41,7 +45,8 @@ type predMemo struct {
 
 // lookup writes the remembered prediction of every query it can answer into
 // preds and returns the indices of the rest, which the caller must compute
-// and hand to store. A window or signature change forgets everything first.
+// and hand to store. A window change forgets everything first; a signature
+// change forgets the predictions but not Ŝ, which no signature feeds.
 // The signature version is read before the caller's models read the store,
 // so a concurrent Put can only label a prediction with an older version
 // than it saw — it is forgotten on the next lookup, never served stale.
@@ -52,13 +57,18 @@ func (m *predMemo) lookup(stats *MemoStats, sigs *models.SignatureStore, window 
 	}
 	if m.vals == nil {
 		m.vals = make(map[PerfQuery]float64)
+		m.fut = mathx.NewVector(memsys.NumMetrics)
 	}
-	if sigs != m.sigs || ver != m.sigVer || !m.sameWindow(window) {
-		m.sigs, m.sigVer = sigs, ver
+	moved := !m.sameWindow(window)
+	if moved {
 		m.win = m.win[:0]
 		for _, row := range window {
 			m.win = append(m.win, row...)
 		}
+		m.hasFut = false
+	}
+	if moved || sigs != m.sigs || ver != m.sigVer {
+		m.sigs, m.sigVer = sigs, ver
 		clear(m.vals)
 	}
 	m.miss = m.miss[:0]

@@ -7,6 +7,7 @@ import (
 
 	"adrias/internal/mathx"
 	"adrias/internal/memsys"
+	"adrias/internal/obs"
 )
 
 // clonePred is what a shard clone or re-clone is — fresh model copies, an
@@ -30,7 +31,9 @@ func cloneWindow(w []mathx.Vector) []mathx.Vector {
 // (queries, window) and requires bit-identical predictions and matching
 // errors — over repeated windows, a window change, overlapping query sets,
 // erroring queries, signature-store writes, a NaN window, a promotion and a
-// re-clone — for the float path and the int8 twin.
+// re-clone — for the float path and the int8 twin. The Ŝ forecasts the
+// long-lived predictor runs are counted exactly (by their span): one per
+// distinct window, none for new queries against a window already forecast.
 func TestPredictMemoDifferential(t *testing.T) {
 	pred, watch, _ := trainTinyPredictor(t)
 	c := warmCluster(t, watch)
@@ -70,11 +73,23 @@ func TestPredictMemoDifferential(t *testing.T) {
 			stats := &MemoStats{}
 			live := clonePred(base, stats)
 			memod := tc.build(live)
-			step := func(label string, queries []PerfQuery, window []mathx.Vector, wantHits, wantMisses uint64) {
+			rec := obs.NewSpanRecorder()
+			traced := obs.WithRecorder(ctx, rec)
+			step := func(label string, queries []PerfQuery, window []mathx.Vector, wantHits, wantMisses uint64, wantForecasts int) {
 				t.Helper()
 				h0, m0 := stats.Hits.Load(), stats.Misses.Load()
-				gp, ge := memod.PredictPerfBatch(ctx, queries, cloneWindow(window))
-				got, gotErrs := gp.Clone(), append([]error(nil), ge...) // int8 results are arena-owned
+				rec.Reset()
+				gp, ge := memod.PredictPerfBatch(traced, queries, cloneWindow(window))
+				got, gotErrs := gp.Clone(), append([]error(nil), ge...) // results are arena-owned
+				forecasts := 0
+				for _, sp := range rec.Spans() {
+					if sp.Name == "sysstate_predict" {
+						forecasts++
+					}
+				}
+				if forecasts != wantForecasts {
+					t.Errorf("%s: %d Ŝ forecasts, want %d", label, forecasts, wantForecasts)
+				}
 				want, wantErrs := tc.build(clonePred(live, nil)).PredictPerfBatch(ctx, queries, window)
 				for i := range queries {
 					if (gotErrs[i] == nil) != (wantErrs[i] == nil) ||
@@ -90,48 +105,48 @@ func TestPredictMemoDifferential(t *testing.T) {
 				}
 			}
 
-			step("first sight of A", q1, winA, 0, 3)
-			step("A again", q1, winA, 3, 0)
-			step("A, overlapping queries", q2, winA, 3, 3) // gmmR twice + redis hit; nweight ×2 and nosuch miss
-			step("A, errors are not remembered", q2, winA, 5, 1)
-			step("tick: B", q2, winB, 0, 6)
-			step("back to A: only the last window is kept", q1, winA, 0, 3)
+			step("first sight of A", q1, winA, 0, 3, 1)
+			step("A again", q1, winA, 3, 0, 0)
+			step("A, overlapping queries", q2, winA, 3, 3, 0) // gmmR twice + redis hit; nweight ×2 and nosuch miss, on the remembered Ŝ
+			step("A, errors are not remembered", q2, winA, 5, 1, 0)
+			step("tick: B", q2, winB, 0, 6, 1)
+			step("back to A: only the last window is kept", q1, winA, 0, 3, 1)
 
 			// A cold-start capture adds a signature: the store's version
 			// moves, so nothing computed before it is served after it.
-			step("before capture", []PerfQuery{fresh1, gmmR}, winA, 1, 1)
+			step("before capture", []PerfQuery{fresh1, gmmR}, winA, 1, 1, 0)
 			if err := base.Sigs.Put("fresh-app", winB); err != nil {
 				t.Fatal(err)
 			}
-			step("after capture", []PerfQuery{fresh1, gmmR}, winA, 0, 2)
+			step("after capture", []PerfQuery{fresh1, gmmR}, winA, 0, 2, 0) // no signature feeds Ŝ
 			// A re-captured signature changes what gmm predicts.
 			before, _ := memod.PredictPerfBatch(ctx, []PerfQuery{gmmR}, winA)
 			old := before[0]
 			if err := base.Sigs.Put("gmm", winB); err != nil {
 				t.Fatal(err)
 			}
-			step("after re-capture", []PerfQuery{gmmR, fresh1}, winA, 0, 2)
+			step("after re-capture", []PerfQuery{gmmR, fresh1}, winA, 0, 2, 0)
 			if after, _ := memod.PredictPerfBatch(ctx, []PerfQuery{gmmR}, winA); after[0] == old {
 				t.Error("re-captured signature did not move gmm's prediction: the check above proves nothing")
 			}
 
 			// NaN != NaN: a corrupt window never matches, not even itself.
-			step("NaN window", q1, winNaN, 0, 3)
-			step("NaN window again", q1, winNaN, 0, 3)
+			step("NaN window", q1, winNaN, 0, 3, 1)
+			step("NaN window again", q1, winNaN, 0, 3, 1)
 
 			// Promotion: a new generation is a new Predictor value over (some
 			// of) the same model instances. It must not inherit answers.
-			step("before promotion", q1, winB, 0, 3)
+			step("before promotion", q1, winB, 0, 3, 1)
 			live = &Predictor{Sys: live.Sys, BE: live.LC.Clone(), LC: live.LC, Sigs: live.Sigs, Memo: live.Memo}
 			memod = tc.build(live)
-			step("promoted generation", q1, winB, 0, 3)
-			step("promoted generation, again", q1, winB, 3, 0)
+			step("promoted generation", q1, winB, 0, 3, 1)
+			step("promoted generation, again", q1, winB, 3, 0, 0)
 
 			// Re-clone: fresh model copies, empty memo, same counters.
 			live = clonePred(live, stats)
 			memod = tc.build(live)
-			step("re-cloned", q1, winB, 0, 3)
-			step("re-cloned, again", q1, winB, 3, 0)
+			step("re-cloned", q1, winB, 0, 3, 1)
+			step("re-cloned, again", q1, winB, 3, 0, 0)
 		})
 	}
 }

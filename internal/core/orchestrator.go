@@ -135,6 +135,9 @@ type Orchestrator struct {
 	// serialized by the caller — the serve engine's mutex).
 	batQueries []PerfQuery
 	batStart   []int
+	// Decide's batch of one.
+	oneProfile  [1]*workload.Profile
+	oneDecision [1]Decision
 }
 
 // NewOrchestrator builds the Adrias scheduler.
@@ -212,11 +215,13 @@ func (o *Orchestrator) LastDecision() (Decision, bool) {
 func (o *Orchestrator) TotalDecisions() uint64 { return o.total }
 
 // Decide implements Scheduler. It is the single-application case of
-// DecideBatch: cold start → remote + capture, no history → safe local,
+// DecideBatchInto: cold start → remote + capture, no history → safe local,
 // otherwise the β-slack rule (BE) or QoS gate (LC) over the predictor,
 // degraded to local when the remote pool cannot fit the footprint.
 func (o *Orchestrator) Decide(p *workload.Profile, c *cluster.Cluster) memsys.Tier {
-	return o.DecideBatch(context.Background(), []*workload.Profile{p}, c)[0].Tier
+	o.oneProfile[0] = p
+	o.DecideBatchInto(context.Background(), o.oneProfile[:], c, o.oneDecision[:])
+	return o.oneDecision[0].Tier
 }
 
 // DecideBE applies the paper's best-effort rule: local iff

@@ -95,7 +95,7 @@ func TestQuantPredictorTracksFloat(t *testing.T) {
 			t.Fatalf("query %d: no error on empty window", i)
 		}
 	}
-	noLC := &QuantPredictor{Sys: qp.Sys, BE: qp.BE, fut: qp.fut}
+	noLC := &QuantPredictor{Sys: qp.Sys, BE: qp.BE}
 	preds, errs := noLC.PredictPerfBatch(ctx, queries, win)
 	for i := range queries {
 		if queries[i].Class == ClassLC {

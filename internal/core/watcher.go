@@ -119,7 +119,7 @@ type Predictor struct {
 	// NewQuantPredictor hands it on to the int8 twin.
 	Memo *MemoStats
 
-	memo predMemo
+	arena predictArena
 }
 
 // Clone copies the models for another caller's exclusive use (a replica

@@ -52,7 +52,9 @@ func EnsureMatrices(ms []*Matrix, n, rows, cols int) []*Matrix {
 // independent, so blocking turns the latency-bound GEMV into four pipelined
 // chains per weight-row load — this is where the batch-inference speedup
 // comes from. Each sample's own accumulation stays k-ascending, so the
-// blocking never reassociates a sum.
+// blocking never reassociates a sum. The rows left over (all of them when
+// fewer than four samples arrive, as in single-application decides) go
+// through gemv, which blocks over weight rows instead.
 func MulNT(dst, a, b *Matrix) {
 	checkLen(a.Cols, b.Cols)
 	checkLen(dst.Rows, a.Rows)
@@ -113,16 +115,43 @@ func MulNT(dst, a, b *Matrix) {
 		}
 	}
 	for ; i < a.Rows; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		drow := dst.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			var s float64
-			for p, x := range arow {
-				s += x * brow[p]
-			}
-			drow[j] = s
+		gemv(dst.Data[i*n:(i+1)*n], b.Data, a.Data[i*k:(i+1)*k])
+	}
+}
+
+// gemv computes dst[j] = Σ_p w[j*k+p]·x[p] over the len(dst) rows of the
+// row-major weight block w, k = len(x) — the one GEMV under Matrix.MulVec
+// and under MulNT's rows past the last block of four. Four weight rows go
+// per pass: a lone dot product is one serial FP-add dependency chain, four
+// independent ones pipeline. Every accumulator still starts at zero and
+// adds its products in ascending p, so each dst[j] is the same sequence of
+// IEEE operations as a row-at-a-time loop — blocking changes which sums are
+// in flight together, never the order inside one.
+func gemv(dst, w, x []float64) {
+	k, n := len(x), len(dst)
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		// Resliced to len(x) so the inner loop carries no bounds checks.
+		w0 := w[j*k:][:len(x)]
+		w1 := w[(j+1)*k:][:len(x)]
+		w2 := w[(j+2)*k:][:len(x)]
+		w3 := w[(j+3)*k:][:len(x)]
+		var s0, s1, s2, s3 float64
+		for p, v := range x {
+			s0 += w0[p] * v
+			s1 += w1[p] * v
+			s2 += w2[p] * v
+			s3 += w3[p] * v
 		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
+	}
+	for ; j < n; j++ {
+		var s float64
+		wj := w[j*k:][:len(x)]
+		for p, v := range x {
+			s += wj[p] * v
+		}
+		dst[j] = s
 	}
 }
 

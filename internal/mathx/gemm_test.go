@@ -44,6 +44,86 @@ func TestMulNTMatchesMulVecRows(t *testing.T) {
 	}
 }
 
+// scalarGemv is the row-at-a-time loop MulVec and MulNT's remainder rows ran
+// before they shared the row-blocked gemv, kept as the reference: one
+// accumulator per weight row, from zero, products added in ascending p.
+func scalarGemv(dst, w, x []float64) {
+	k := len(x)
+	for j := range dst {
+		var s float64
+		for p, wv := range w[j*k : (j+1)*k] {
+			s += wv * x[p]
+		}
+		dst[j] = s
+	}
+}
+
+// sameBits is bit equality, with every NaN equal to every other: which
+// operand's payload survives NaN+NaN is the hardware's choice of operand
+// order, not a property of the summation order.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestGemvBlockedMatchesScalar: row-blocking may change which dot products
+// are in flight together, never the order of additions inside one. Any
+// reassociation (pairwise sums, two accumulators per row, a descending
+// walk) moves low bits of Gaussian dot products and fails here.
+func TestGemvBlockedMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	special := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040, math.MaxFloat64, 1e-300,
+	}
+	fill := func(v []float64, specials bool) {
+		for i := range v {
+			v[i] = rng.NormFloat64() * math.Exp(8*rng.NormFloat64())
+			if specials && rng.Intn(6) == 0 {
+				v[i] = special[rng.Intn(len(special))]
+			}
+		}
+	}
+	rowsSet := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 48, 64}
+	colsSet := []int{1, 7, 19, 23, 32}
+	for _, rows := range rowsSet {
+		for _, cols := range colsSet {
+			for trial := 0; trial < 4; trial++ {
+				specials := trial >= 2
+				w := NewMatrix(rows, cols)
+				fill(w.Data, specials)
+
+				x := NewVector(cols)
+				fill(x, specials)
+				want := NewVector(rows)
+				scalarGemv(want, w.Data, x)
+				got := w.MulVec(NewVector(rows), x)
+				for j := range want {
+					if !sameBits(got[j], want[j]) {
+						t.Fatalf("MulVec %dx%d trial %d row %d: %x, scalar loop %x",
+							rows, cols, trial, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+					}
+				}
+
+				for _, B := range []int{1, 2, 3, 5} {
+					a := NewMatrix(B, cols)
+					fill(a.Data, specials)
+					dst := NewMatrix(B, rows)
+					MulNT(dst, a, w)
+					for i := 0; i < B; i++ {
+						scalarGemv(want, w.Data, a.Row(i))
+						for j := range want {
+							if !sameBits(dst.At(i, j), want[j]) {
+								t.Fatalf("MulNT B=%d %dx%d trial %d sample %d row %d: %x, scalar loop %x",
+									B, rows, cols, trial, i, j, math.Float64bits(dst.At(i, j)), math.Float64bits(want[j]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMulNNMatchesMulVecTRows: every row of MulNN(dst, a, b) must be
 // bit-identical to MulVecT of b with that row of a — the batched backward
 // dX = dY·W contract.

@@ -239,14 +239,7 @@ func (m *Matrix) CopyFrom(w *Matrix) {
 func (m *Matrix) MulVec(dst, v Vector) Vector {
 	checkLen(len(v), m.Cols)
 	checkLen(len(dst), m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, x := range row {
-			s += x * v[j]
-		}
-		dst[i] = s
-	}
+	gemv(dst, m.Data, v)
 	return dst
 }
 

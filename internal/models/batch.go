@@ -10,24 +10,25 @@ import (
 	"adrias/internal/nn"
 )
 
-// Batched model inference and training. Both predictors stage a minibatch
-// of windows into lockstep matrices (rows are samples) and run the nn
-// batched path — one GEMM pipeline per layer instead of a per-sample clone
-// fan-out. Row b of every staged matrix is produced by exactly the
-// floating-point operations the sequential path applies to sample b
-// (log1p → z-score in the same order), and the nn layers are bit-identical
-// per sample, so batched predictions equal sequential Predict calls bit
-// for bit. The staging buffers live in per-model scratch arenas
-// (mathx.EnsureMatrix): steady-state batched inference at a fixed batch
-// size performs no per-layer allocations, only the output vectors handed
-// to the caller. Scratch never reaches Clone or the gob wire format.
+// Batched staging and the lockstep forward/backward both models train and
+// forecast through. A minibatch of windows is staged into lockstep matrices
+// (rows are samples) and run through the nn batched path — one GEMM pipeline
+// per layer instead of a per-sample loop. Row b of every staged matrix is
+// produced by exactly the floating-point operations the sequential path
+// applies to sample b (log1p → z-score in the same order), and the nn layers
+// are bit-identical per sample, so batched results equal the per-sample
+// training step's forward bit for bit. The staging buffers live in per-model
+// scratch arenas (mathx.EnsureMatrix): steady state at a fixed batch size
+// performs no allocations. Scratch never reaches Clone or the gob wire
+// format. The performance model's inference path is in infer.go.
 
 // sysBatch is SysStateModel's batched staging arena.
 type sysBatch struct {
-	xs    []*mathx.Matrix // [B×M] normalized log inputs, one per step
-	headX *mathx.Matrix   // [B×(H+M)] encoder state ‖ normalized history mean
-	dY    *mathx.Matrix   // [B×M] training loss gradient
-	dh    *mathx.Matrix   // [B×H] gradient slice handed to the encoder
+	one   [1][]mathx.Vector // PredictInto's batch of one window
+	xs    []*mathx.Matrix   // [B×M] normalized log inputs, one per step
+	headX *mathx.Matrix     // [B×(H+M)] encoder state ‖ normalized history mean
+	dY    *mathx.Matrix     // [B×M] training loss gradient
+	dh    *mathx.Matrix     // [B×H] gradient slice handed to the encoder
 }
 
 // uniformLen returns the shared window length, or -1 when the windows are
@@ -87,24 +88,44 @@ func (m *SysStateModel) forecastBatch(pasts [][]mathx.Vector, train bool) *mathx
 	return m.head.ForwardBatch(s.headX, train)
 }
 
+// forecastInverse maps one row of normalized log-space model output back to
+// raw metric units: z-score⁻¹ → expm1, clamped at zero — the op sequence of
+// expVec(normOut.Inverse(y)), shared by the float and int8 forecasts.
+func forecastInverse(dst, y mathx.Vector, normOut *dataset.Normalizer) {
+	for j, v := range y {
+		e := math.Expm1(v*normOut.Std[j] + normOut.Mean[j])
+		if e < 0 {
+			e = 0
+		}
+		dst[j] = e
+	}
+}
+
+// PredictInto forecasts the horizon mean of every metric from one history
+// window (raw metric units in, raw units out) into dst, length
+// memsys.NumMetrics: a lockstep batch of one over the model's arena, so
+// after the first call at a window length it allocates nothing. Like every
+// arena user it serves one caller at a time.
+func (m *SysStateModel) PredictInto(dst mathx.Vector, past []mathx.Vector) {
+	if !m.trained {
+		panic("models: SysStateModel.Predict before Fit/Load")
+	}
+	m.bat.one[0] = past
+	y := m.forecastBatch(m.bat.one[:], false).Row(0)
+	m.bat.one[0] = nil
+	forecastInverse(dst, y, m.normOut)
+}
+
 // forecastInto is the batched inference core behind PredictBatch: one
-// lockstep forward, then the inverse transform (z-score⁻¹ → expm1, the
-// exact op sequence of expVec(normOut.Inverse(y))) into freshly allocated
+// lockstep forward, then the inverse transform into freshly allocated
 // output rows sharing one backing array.
 func (m *SysStateModel) forecastInto(out []mathx.Vector, pasts [][]mathx.Vector) {
 	Y := m.forecastBatch(pasts, false)
 	M := memsys.NumMetrics
 	buf := mathx.NewVector(len(out) * M)
 	for b := range out {
-		row, y := buf[b*M:(b+1)*M], Y.Row(b)
-		for j, v := range y {
-			e := math.Expm1(v*m.normOut.Std[j] + m.normOut.Mean[j])
-			if e < 0 {
-				e = 0
-			}
-			row[j] = e
-		}
-		out[b] = row
+		out[b] = buf[b*M : (b+1)*M]
+		forecastInverse(out[b], Y.Row(b), m.normOut)
 	}
 }
 
@@ -154,7 +175,7 @@ func (m *SysStateModel) batchStep(windows []dataset.Window, idx []int) func([]in
 	}
 }
 
-// perfBatch is PerfModel's batched staging arena.
+// perfBatch is PerfModel's batched training arena.
 type perfBatch struct {
 	xsS   []*mathx.Matrix // [B×M] past-window steps
 	xsK   []*mathx.Matrix // [B×M] signature steps
@@ -178,9 +199,29 @@ func stageSeq(xs []*mathx.Matrix, b int, seq []mathx.Vector, norm *dataset.Norma
 	}
 }
 
+// stageFuture writes the normalized log Ŝ vector into the head-input slot
+// dst, or zeros when there is none (FutureNone) — Transform(logVec(future))
+// inlined, as the sequential forward does it.
+func stageFuture(dst, future mathx.Vector, norm *dataset.Normalizer) {
+	if future == nil {
+		for j := range dst {
+			dst[j] = 0
+		}
+		return
+	}
+	for j, v := range future {
+		if v < 0 {
+			v = 0
+		}
+		dst[j] = (math.Log1p(v) - norm.Mean[j]) / norm.Std[j]
+	}
+}
+
 // seqKey identifies a sequence by slice identity (first-row address and
 // length): two samples referencing the same window or signature slice are
-// literally the same input, with no element comparison needed.
+// literally the same input, with no element comparison needed. Encoding is
+// a pure function of the input bits, so the inference path encodes each
+// identity once and scatters the resulting rows.
 type seqKey struct {
 	first *mathx.Vector
 	n     int
@@ -188,138 +229,33 @@ type seqKey struct {
 
 func seqID(s []mathx.Vector) seqKey { return seqKey{&s[0], len(s)} }
 
-// dedupSeqs maps every sequence to an index into the unique-sequence list
-// it returns. Admission batches are full of repeats — every query in a
-// placement batch shares one history window, and a BE app's local/remote
-// queries share a signature — and encoding is a pure function of the input
-// bits, so encoding each unique sequence once and scattering the resulting
-// rows is bit-identical to encoding all B.
-func dedupSeqs(seqs [][]mathx.Vector, rows []int) (uniq [][]mathx.Vector) {
-	seen := make(map[seqKey]int, len(seqs))
-	for i, s := range seqs {
-		k := seqID(s)
-		u, ok := seen[k]
-		if !ok {
-			u = len(uniq)
-			seen[k] = u
-			uniq = append(uniq, s)
-		}
-		rows[i] = u
-	}
-	return uniq
-}
-
-// forwardGroup runs the twin-encoder forward for a group of samples that
-// share a past length and a signature length (the lockstep requirement).
-// Each encoder processes the group's unique sequences once (dedupSeqs);
-// in training mode dedup is skipped so every sample contributes its own
-// gradient path. futures[k] may be nil (FutureNone), zeroing that input
-// slot as the sequential forward does. The returned [B×1] predictions are
-// arena-owned.
-func (m *PerfModel) forwardGroup(group []*PerfSample, sigSteps [][]mathx.Vector, futures []mathx.Vector, train bool) *mathx.Matrix {
+// forwardGroup runs the twin-encoder training forward for a group of
+// samples that share a past length and a signature length (the lockstep
+// requirement). Every sample is encoded on its own row, repeats included,
+// so each pushes its own gradients through the encoders. futures[k] may be
+// nil (FutureNone). The returned [B×1] predictions are arena-owned.
+func (m *PerfModel) forwardGroup(group []*PerfSample, sigSteps [][]mathx.Vector, futures []mathx.Vector) *mathx.Matrix {
 	B := len(group)
 	Ts, Tk := len(group[0].Past), len(sigSteps[0])
 	H, M := m.Cfg.Hidden, memsys.NumMetrics
-	pasts := make([][]mathx.Vector, B)
-	for k, sm := range group {
-		pasts[k] = sm.Past
-	}
-	rowS, rowK := make([]int, B), make([]int, B)
-	var uniqS, uniqK [][]mathx.Vector
-	if train {
-		// Every sample must push its own gradients through the encoders.
-		uniqS, uniqK = pasts, sigSteps
-		for k := range rowS {
-			rowS[k], rowK[k] = k, k
-		}
-	} else {
-		uniqS = dedupSeqs(pasts, rowS)
-		uniqK = dedupSeqs(sigSteps, rowK)
-	}
 	s := &m.bat
-	s.xsS = mathx.EnsureMatrices(s.xsS, Ts, len(uniqS), M)
-	s.xsK = mathx.EnsureMatrices(s.xsK, Tk, len(uniqK), M)
-	for u, p := range uniqS {
-		stageSeq(s.xsS, u, p, m.normIn)
+	s.xsS = mathx.EnsureMatrices(s.xsS, Ts, B, M)
+	s.xsK = mathx.EnsureMatrices(s.xsK, Tk, B, M)
+	for k, sm := range group {
+		stageSeq(s.xsS, k, sm.Past, m.normIn)
+		stageSeq(s.xsK, k, sigSteps[k], m.normIn)
 	}
-	for u, p := range uniqK {
-		stageSeq(s.xsK, u, p, m.normIn)
-	}
-	hS := m.encS.EncodeBatch(s.xsS, train)
-	hK := m.encK.EncodeBatch(s.xsK, train)
+	hS := m.encS.EncodeBatch(s.xsS, true)
+	hK := m.encK.EncodeBatch(s.xsK, true)
 	s.headX = mathx.EnsureMatrix(s.headX, B, 2*H+1+M)
 	for k, sm := range group {
 		x := s.headX.Row(k)
-		copy(x[:H], hS.Row(rowS[k]))
-		copy(x[H:2*H], hK.Row(rowK[k]))
+		copy(x[:H], hS.Row(k))
+		copy(x[H:2*H], hK.Row(k))
 		x[2*H] = sm.Remote
-		fut := x[2*H+1:]
-		if f := futures[k]; f != nil {
-			for j, v := range f {
-				if v < 0 {
-					v = 0
-				}
-				fut[j] = (math.Log1p(v) - m.normIn.Mean[j]) / m.normIn.Std[j]
-			}
-		} else {
-			for j := range fut {
-				fut[j] = 0
-			}
-		}
+		stageFuture(x[2*H+1:], futures[k], m.normIn)
 	}
-	return m.head.ForwardBatch(s.headX, train)
-}
-
-// predictEachChunk resolves one contiguous chunk of samples on this model
-// instance: per-sample input errors first (same messages and precedence as
-// PredictWith), then one lockstep batched forward per
-// (past-length, signature-length) group. preds/errs are the chunk's slices
-// of the caller's output.
-func (m *PerfModel) predictEachChunk(samples []PerfSample, kind FutureKind, preds mathx.Vector, errs []error) {
-	type shape struct{ ts, tk int }
-	sigSteps := make([][]mathx.Vector, len(samples))
-	futures := make([]mathx.Vector, len(samples))
-	groups := make(map[shape][]int)
-	order := make([]shape, 0, 1)
-	sigs := m.sigStore()
-	for i := range samples {
-		s := &samples[i]
-		f := s.Future(kind)
-		if kind != FutureNone && f == nil {
-			errs[i] = fmt.Errorf("models: sample %s missing %v future", s.App, kind)
-			continue
-		}
-		sig, ok := sigs.Get(s.App)
-		if !ok {
-			errs[i] = fmt.Errorf("models: no signature for %q", s.App)
-			continue
-		}
-		futures[i] = f
-		sigSteps[i] = sig.Steps
-		k := shape{len(s.Past), len(sig.Steps)}
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
-	}
-	for _, k := range order {
-		idx := groups[k]
-		group := make([]*PerfSample, len(idx))
-		steps := make([][]mathx.Vector, len(idx))
-		futs := make([]mathx.Vector, len(idx))
-		for j, i := range idx {
-			group[j], steps[j], futs[j] = &samples[i], sigSteps[i], futures[i]
-		}
-		Y := m.forwardGroup(group, steps, futs, false)
-		for j, i := range idx {
-			out := math.Exp(Y.Data[j]*m.normOut.Std[0] + m.normOut.Mean[0])
-			if math.IsNaN(out) || math.IsInf(out, 0) {
-				errs[i] = fmt.Errorf("models: non-finite prediction for %s", samples[i].App)
-				continue
-			}
-			preds[i] = out
-		}
-	}
+	return m.head.ForwardBatch(s.headX, true)
 }
 
 // batchStep returns PerfModel's shard-at-a-time training closure
@@ -363,7 +299,7 @@ func (m *PerfModel) batchStep(samples []PerfSample, trainIdx []int) func([]int) 
 			for j, gi := range idx {
 				group[j], steps[j], futs[j] = &samples[trainIdx[shard[gi]]], sigSteps[gi], futures[gi]
 			}
-			Y := m.forwardGroup(group, steps, futs, true)
+			Y := m.forwardGroup(group, steps, futs)
 			s := &m.bat
 			s.dY = mathx.EnsureMatrix(s.dY, B, 1)
 			for j, sm := range group {

@@ -2,10 +2,12 @@ package models
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"adrias/internal/dataset"
 	"adrias/internal/mathx"
+	"adrias/internal/memsys"
 )
 
 // TestSysStateBatchedFitLearnsAndIsDeterministic: the lockstep-batched fit
@@ -213,7 +215,7 @@ func TestPerfGobUnaffectedByBatchState(t *testing.T) {
 
 // benchSysModel trains one small system-state model and stages B uniform
 // windows for the inference benchmarks.
-func benchSysModel(b *testing.B, batch int) (*SysStateModel, [][]mathx.Vector) {
+func benchSysModel(b testing.TB, batch int) (*SysStateModel, [][]mathx.Vector) {
 	m, windows, _, test := trainSmallSysModel(b)
 	if len(test) < batch {
 		b.Fatalf("only %d test windows", len(test))
@@ -242,16 +244,199 @@ func BenchmarkPredictBatchB8(b *testing.B) {
 
 // BenchmarkPredictCloneFanoutB8 reproduces the retired clone-fan-out
 // inference path at one core: the fan-out degenerated to a sequential
-// Predict loop (inferWorkers clamped to GOMAXPROCS), so a per-window
-// Predict loop is exactly what a B=8 batch cost before the batched tensor
-// core. Run with -cpu 1 for the like-for-like comparison.
+// per-window loop over the vector path (inferWorkers clamped to
+// GOMAXPROCS), which predictSequential keeps as the test reference, so this
+// is what a B=8 batch cost before the batched tensor core. Run with -cpu 1
+// for the like-for-like comparison.
 func BenchmarkPredictCloneFanoutB8(b *testing.B) {
 	m, pasts := benchSysModel(b, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pasts {
-			m.Predict(p)
+			predictSequential(m, p)
 		}
+	}
+}
+
+// predictSequential is SysStateModel.Predict as it was before PredictInto:
+// the per-sample vector path (Encode, headInput, Forward) that the Workers ≤ 1
+// training step still runs, kept as the reference the lockstep forecasts are
+// compared against.
+func predictSequential(m *SysStateModel, past []mathx.Vector) mathx.Vector {
+	logPast := logSeq(past)
+	h := m.enc.Encode(m.normIn.TransformSeq(logPast), false)
+	return expVec(m.normOut.Inverse(m.head.Forward(m.headInput(h, logPast), false)))
+}
+
+// TestSysStatePredictIntoMatchesSequential: the batch-of-one forecast over
+// the model's arena equals the per-sample vector path bit for bit, reuses
+// its arena across calls, and allocates nothing once warm.
+func TestSysStatePredictIntoMatchesSequential(t *testing.T) {
+	m, pasts := benchSysModel(t, 6)
+	dst := mathx.NewVector(memsys.NumMetrics)
+	for k, past := range pasts {
+		want := predictSequential(m, past)
+		m.PredictInto(dst, past)
+		got := m.Predict(past)
+		for j := range want {
+			if math.Float64bits(dst[j]) != math.Float64bits(want[j]) || math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("window %d metric %d: PredictInto %v, Predict %v, sequential %v", k, j, dst[j], got[j], want[j])
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { m.PredictInto(dst, pasts[0]) }); n > 0 {
+		t.Errorf("warm PredictInto allocates %.1f/op, want 0", n)
+	}
+}
+
+// eachInto is the inference surface the float model and its int8 twin share.
+type eachInto interface {
+	PredictEachInto(samples []PerfSample, kind FutureKind, preds mathx.Vector, errs []error)
+}
+
+// TestPredictEachIntoMatchesUncached drives one long-lived model — its
+// signature-embedding cache filling, hitting and being invalidated — and, at
+// every step, a copy that has never predicted through the same batch, and
+// requires bit-identical predictions, matching errors and exact cache
+// counts: over repeated applications, an unknown application mid-batch, a
+// re-captured signature, and (float, which alone can change under a cache)
+// a Rebind, a Load and a Fit.
+func TestPredictEachIntoMatchesUncached(t *testing.T) {
+	be, sigs := buildPerfFixtures(t)
+	train, _ := dataset.Split(len(be), 0.6, 13)
+	trained := NewPerfModel(tinyPerfConfig(), sigs)
+	if err := trained.Fit(be, train); err != nil {
+		t.Fatal(err)
+	}
+	otherCfg := tinyPerfConfig()
+	otherCfg.Seed, otherCfg.Epochs = 99, 2
+	other := NewPerfModel(otherCfg, sigs)
+	if err := other.Fit(be, train); err != nil {
+		t.Fatal(err)
+	}
+	var otherBlob bytes.Buffer
+	if err := other.Save(&otherBlob); err != nil {
+		t.Fatal(err)
+	}
+
+	batch := append([]PerfSample(nil), be[:8]...)
+	batch[5].App, batch[6].App = batch[0].App, batch[1].App // repeats, whatever the corpus drew
+	apps := map[string]bool{}
+	for _, s := range batch {
+		apps[s.App] = true
+	}
+	uniq := uint64(len(apps))
+	all := uint64(len(batch))
+
+	for _, tc := range []struct {
+		name  string
+		build func(*PerfModel) (eachInto, *perfInfer)
+	}{
+		{"float", func(m *PerfModel) (eachInto, *perfInfer) { c := m.Clone(); return c, &c.inf }},
+		{"int8", func(m *PerfModel) (eachInto, *perfInfer) { q := QuantizePerf(m); return q, &q.inf }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The steps write signatures and weights: own store, own model.
+			store := sigs.Clone()
+			src := trained.Clone()
+			src.Rebind(store)
+			live, inf := tc.build(src)
+			if tc.name == "float" {
+				src = live.(*PerfModel) // Rebind/Load/Fit below must act on the cached instance
+			}
+			preds, errs := mathx.NewVector(len(batch)), make([]error, len(batch))
+			want, wantErrs := mathx.NewVector(len(batch)), make([]error, len(batch))
+			step := func(label string, b []PerfSample, wantHits, wantMisses uint64) mathx.Vector {
+				t.Helper()
+				h0, m0 := inf.hits, inf.misses
+				live.PredictEachInto(b, Future120Actual, preds, errs)
+				fresh, _ := tc.build(src)
+				fresh.PredictEachInto(b, Future120Actual, want, wantErrs)
+				for i := range b {
+					if (errs[i] == nil) != (wantErrs[i] == nil) || (errs[i] != nil && errs[i].Error() != wantErrs[i].Error()) {
+						t.Errorf("%s: sample %d (%s): err %v, uncached %v", label, i, b[i].App, errs[i], wantErrs[i])
+					}
+					if math.Float64bits(preds[i]) != math.Float64bits(want[i]) {
+						t.Errorf("%s: sample %d (%s): %v, uncached %v", label, i, b[i].App, preds[i], want[i])
+					}
+				}
+				if h, m := inf.hits-h0, inf.misses-m0; h != wantHits || m != wantMisses {
+					t.Errorf("%s: %d cache hits / %d signatures encoded, want %d / %d", label, h, m, wantHits, wantMisses)
+				}
+				return preds.Clone()
+			}
+
+			step("cold", batch, all-uniq, uniq)
+			base := step("warm", batch, all, 0)
+
+			holed := append([]PerfSample(nil), batch...)
+			holed[3].App = "no-such-app"
+			live.PredictEachInto(holed, Future120Actual, preds, errs)
+			if errs[3] == nil || preds[3] != 0 {
+				t.Errorf("unknown app mid-batch: pred %v err %v, want an error and no prediction", preds[3], errs[3])
+			}
+			for i := range holed {
+				if i != 3 && (errs[i] != nil || math.Float64bits(preds[i]) != math.Float64bits(base[i])) {
+					t.Errorf("unknown app mid-batch: sample %d: %v (err %v), alone it predicted %v", i, preds[i], errs[i], base[i])
+				}
+			}
+
+			// A re-captured signature is a new slice under the same name: the
+			// old embedding must not answer for it.
+			app := batch[0].App
+			sig, _ := store.Get(batch[2].App)
+			if batch[2].App == app {
+				t.Fatal("fixture: samples 0 and 2 share an application")
+			}
+			if err := store.Put(app, sig.Steps); err != nil {
+				t.Fatal(err)
+			}
+			var ofApp uint64
+			for _, s := range batch {
+				if s.App == app {
+					ofApp++
+				}
+			}
+			moved := step("re-captured signature", batch, all-1, 1)
+			if moved[0] == base[0] {
+				t.Error("re-capture did not move the prediction: the step above proves nothing")
+			}
+			if ofApp < 2 {
+				t.Fatal("fixture: the re-captured application should repeat in the batch")
+			}
+			if tc.name != "float" {
+				return
+			}
+
+			// Rebind: the new store's slices are all new keys, and nothing
+			// keyed by the old store's may survive.
+			store2 := store.Clone()
+			src.Rebind(store2)
+			rebound := step("rebind", batch, all-uniq, uniq)
+			if len(inf.emb) != int(uniq) {
+				t.Errorf("after Rebind the cache holds %d embeddings, want only the new store's %d", len(inf.emb), uniq)
+			}
+			for i := range rebound {
+				if math.Float64bits(rebound[i]) != math.Float64bits(moved[i]) {
+					t.Errorf("rebind to an equal store moved sample %d: %v → %v", i, moved[i], rebound[i])
+				}
+			}
+
+			// Load and Fit move the weights under the cache.
+			if err := src.Load(bytes.NewReader(otherBlob.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			loaded := step("load", batch, all-uniq, uniq)
+			if loaded[0] == rebound[0] {
+				t.Error("Load did not move the prediction: the step above proves nothing")
+			}
+			src.Cfg.Epochs = 1
+			if err := src.Fit(be, train); err != nil {
+				t.Fatal(err)
+			}
+			step("fit", batch, all-uniq, uniq)
+			step("fit, warm", batch, all, 0)
+		})
 	}
 }

@@ -258,14 +258,14 @@ func TestSysStateFitMultiWorker(t *testing.T) {
 		t.Errorf("workers=3 sysstate R² avg = %v, want > 0.5", ev.R2Avg)
 	}
 
-	// PredictBatch ≡ sequential Predict on the same windows.
+	// PredictBatch ≡ the sequential vector path on the same windows.
 	pasts := make([][]mathx.Vector, len(test))
 	for k, i := range test {
 		pasts[k] = windows[i].Past
 	}
 	batch := a.PredictBatch(pasts)
 	for k := range pasts {
-		seq := a.Predict(pasts[k])
+		seq := predictSequential(a, pasts[k])
 		for j := range seq {
 			if batch[k][j] != seq[j] {
 				t.Fatalf("PredictBatch[%d][%d] = %v, sequential %v", k, j, batch[k][j], seq[j])

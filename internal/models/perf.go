@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"adrias/internal/dataset"
 	"adrias/internal/mathx"
@@ -241,7 +240,8 @@ type PerfModel struct {
 	normIn  *dataset.Normalizer // metric-space normalizer (S, Ŝ, k rows)
 	normOut *dataset.Normalizer // scalar target normalizer
 	trained bool
-	bat     perfBatch // batched staging arena (batch.go); never cloned or saved
+	bat     perfBatch // batched training arena (batch.go); never cloned or saved
+	inf     perfInfer // inference cache and scratch (infer.go); never cloned or saved
 }
 
 // NewPerfModel builds the twin-encoder architecture.
@@ -325,7 +325,9 @@ func (m *PerfModel) Clone() *PerfModel {
 // store at promotion, so applications cold-started after the snapshot
 // resolve once their signatures land. The swing is atomic: inference on a
 // replica shard may overlap a Rebind and sees either the old or the new
-// store, never a torn pointer.
+// store, never a torn pointer. The signature-embedding cache is keyed by the
+// old store's slices, none of which the new store holds; the next prediction
+// sees the store changed and drops it (perfInfer.resolveSigs).
 func (m *PerfModel) Rebind(sigs *SignatureStore) { m.sigs.Store(sigs) }
 
 // step returns the per-sample forward/backward closure the trainer drives:
@@ -374,6 +376,7 @@ func (m *PerfModel) Fit(samples []PerfSample, trainIdx []int) error {
 	}
 	m.normIn = dataset.FitNormalizer(metricRows)
 	m.normOut = dataset.FitNormalizer(targets)
+	m.inf.dropCache() // the normalizer and the weights are about to move
 
 	rng := randutil.New(m.Cfg.Seed).Split(0xbee)
 	tr := nn.NewTrainer(nn.NewAdam(m.Cfg.LR), m.Cfg.Batch, m.Params())
@@ -442,38 +445,41 @@ func (m *PerfModel) Evaluate(samples []PerfSample, testIdx []int) (PerfEval, err
 	return m.EvaluateWith(samples, testIdx, m.Cfg.EvalFuture)
 }
 
-// PredictEach predicts every sample through the lockstep-batched forward:
-// samples sharing a (past-length, signature-length) shape run as one
-// minibatch per layer call instead of a per-sample clone fan-out.
-// Predictions are per-sample deterministic and the batched kernels are
-// bit-identical per sample, so results equal a sequential PredictWith loop
-// bit for bit. A failing sample does not abort the rest: errs[i] is set
-// and the remaining samples still resolve — the contract admission
-// batching needs, where one unknown application must not fail the batch.
-// Admission-sized batches run on the calling goroutine; large sweeps shard
-// contiguous chunks across model clones (see batchWorkers).
-func (m *PerfModel) PredictEach(samples []PerfSample, kind FutureKind) (mathx.Vector, []error) {
-	if im := instr.Load(); im != nil {
-		start := time.Now()
-		defer func() {
-			im.Batches.Inc()
-			im.Samples.Add(uint64(len(samples)))
-			im.BatchSize.Observe(float64(len(samples)))
-			im.Latency.ObserveDuration(time.Since(start))
-		}()
-	}
-	preds := mathx.NewVector(len(samples))
-	errs := make([]error, len(samples))
+func (m *PerfModel) inferShape() (int, *dataset.Normalizer, *dataset.Normalizer) {
+	return m.Cfg.Hidden, m.normIn, m.normOut
+}
+func (m *PerfModel) encodePast(x []*mathx.Matrix) *mathx.Matrix { return m.encS.EncodeBatch(x, false) }
+func (m *PerfModel) encodeSig(x []*mathx.Matrix) *mathx.Matrix  { return m.encK.EncodeBatch(x, false) }
+func (m *PerfModel) forwardHead(x *mathx.Matrix) *mathx.Matrix  { return m.head.ForwardBatch(x, false) }
+
+// PredictEachInto predicts every sample into preds/errs (caller-owned, both
+// len(samples)) on this instance's arena, through the inference path the
+// int8 twin shares (perfInfer.predictEachInto: per-sample errors, one
+// minibatch per past length, windows and signatures encoded once). The
+// batched kernels are bit-identical per sample, so results equal a
+// sequential PredictWith loop bit for bit, cached or not. Steady-state
+// calls do not allocate.
+func (m *PerfModel) PredictEachInto(samples []PerfSample, kind FutureKind, preds mathx.Vector, errs []error) {
 	if !m.trained {
 		err := fmt.Errorf("models: PerfModel.Predict before Fit/Load")
 		for i := range errs {
-			errs[i] = err
+			preds[i], errs[i] = 0, err
 		}
-		return preds, errs
+		return
 	}
+	m.inf.predictEachInto(m, m.sigStore(), samples, kind, preds, errs)
+}
+
+// PredictEach is PredictEachInto into freshly allocated results, for
+// callers that keep them. Admission-sized batches run on the calling
+// goroutine; large sweeps shard contiguous chunks across model clones (see
+// batchWorkers), each chunk one PredictEachInto on its clone.
+func (m *PerfModel) PredictEach(samples []PerfSample, kind FutureKind) (mathx.Vector, []error) {
+	preds := mathx.NewVector(len(samples))
+	errs := make([]error, len(samples))
 	W := batchWorkers(len(samples))
-	if W <= 1 {
-		m.predictEachChunk(samples, kind, preds, errs)
+	if W <= 1 || !m.trained {
+		m.PredictEachInto(samples, kind, preds, errs)
 		return preds, errs
 	}
 	var wg sync.WaitGroup
@@ -489,7 +495,7 @@ func (m *PerfModel) PredictEach(samples []PerfSample, kind FutureKind) (mathx.Ve
 		wg.Add(1)
 		go func(rep *PerfModel, lo, hi int) {
 			defer wg.Done()
-			rep.predictEachChunk(samples[lo:hi], kind, preds[lo:hi], errs[lo:hi])
+			rep.PredictEachInto(samples[lo:hi], kind, preds[lo:hi], errs[lo:hi])
 		}(rep, lo, hi)
 	}
 	wg.Wait()
@@ -587,6 +593,7 @@ func (m *PerfModel) Load(r io.Reader) error {
 		return err
 	}
 	m.normIn, m.normOut = normIn, normOut
+	m.inf.dropCache()
 	m.trained = true
 	return nil
 }

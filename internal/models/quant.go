@@ -61,14 +61,7 @@ func (q *QuantSysStateModel) PredictInto(dst mathx.Vector, past []mathx.Vector) 
 	stageWindow(q.xs, 0, past, q.normIn, q.headX.Row(0)[H:])
 	h := q.enc.EncodeBatch(q.xs)
 	copy(q.headX.Row(0)[:H], h.Row(0))
-	y := q.head.ForwardBatch(q.headX).Row(0)
-	for j, v := range y {
-		e := math.Expm1(v*q.normOut.Std[j] + q.normOut.Mean[j])
-		if e < 0 {
-			e = 0
-		}
-		dst[j] = e
-	}
+	forecastInverse(dst, q.head.ForwardBatch(q.headX).Row(0), q.normOut)
 }
 
 // Predict is the allocating convenience wrapper around PredictInto.
@@ -78,12 +71,9 @@ func (q *QuantSysStateModel) Predict(past []mathx.Vector) mathx.Vector {
 	return out
 }
 
-// QuantPerfModel is the frozen int8 twin of PerfModel, with a
-// signature-embedding cache: encK is a pure function of the signature
-// bits, and admission traffic asks about the same few signatures over and
-// over, so the final hidden state is memoized per signature identity
-// (seqKey — slice address + length, the dedupSeqs notion of identity) and
-// repeated signatures skip re-encoding entirely.
+// QuantPerfModel is the frozen int8 twin of PerfModel: the same inference
+// path (perfInfer — validation, window dedup, signature-embedding cache)
+// over int8 encoders and head.
 type QuantPerfModel struct {
 	Hidden  int
 	sigs    *SignatureStore
@@ -92,28 +82,8 @@ type QuantPerfModel struct {
 	head    *nn.QuantSequential
 	normIn  *dataset.Normalizer
 	normOut *dataset.Normalizer
-
-	sigCache map[seqKey]mathx.Vector
-
-	// Scratch arenas for PredictEachInto.
-	xsS    []*mathx.Matrix
-	xsK    []*mathx.Matrix
-	headX  *mathx.Matrix
-	rowS   []int
-	uniqS  [][]mathx.Vector
-	seenS  map[seqKey]int
-	missK  [][]mathx.Vector
-	missAt []seqKey
-	group  []int
-	pend   []int
-	hK     []mathx.Vector
+	inf     perfInfer
 }
-
-// sigCacheCap bounds the embedding cache; captured signatures churn the
-// store slowly, so in practice the cache converges to the working set. On
-// overflow the whole cache resets (simple, and correctness never depends
-// on residency).
-const sigCacheCap = 4096
 
 // QuantizePerf freezes a trained performance model.
 func QuantizePerf(m *PerfModel) *QuantPerfModel {
@@ -121,194 +91,29 @@ func QuantizePerf(m *PerfModel) *QuantPerfModel {
 		panic("models: QuantizePerf before Fit/Load")
 	}
 	return &QuantPerfModel{
-		Hidden:   m.Cfg.Hidden,
-		sigs:     m.sigStore(),
-		encS:     nn.QuantizeSeqEncoder(m.encS),
-		encK:     nn.QuantizeSeqEncoder(m.encK),
-		head:     nn.QuantizeSequential(m.head),
-		normIn:   m.normIn,
-		normOut:  m.normOut,
-		sigCache: make(map[seqKey]mathx.Vector),
-		seenS:    make(map[seqKey]int),
+		Hidden:  m.Cfg.Hidden,
+		sigs:    m.sigStore(),
+		encS:    nn.QuantizeSeqEncoder(m.encS),
+		encK:    nn.QuantizeSeqEncoder(m.encK),
+		head:    nn.QuantizeSequential(m.head),
+		normIn:  m.normIn,
+		normOut: m.normOut,
 	}
 }
 
-// sigEmbedding returns the cached encK final hidden state for a signature,
-// encoding on miss. Misses are batched by the caller; this resolves hits.
-func (q *QuantPerfModel) sigEmbedding(steps []mathx.Vector) (mathx.Vector, bool) {
-	h, ok := q.sigCache[seqID(steps)]
-	return h, ok
+func (q *QuantPerfModel) inferShape() (int, *dataset.Normalizer, *dataset.Normalizer) {
+	return q.Hidden, q.normIn, q.normOut
 }
+func (q *QuantPerfModel) encodePast(xs []*mathx.Matrix) *mathx.Matrix { return q.encS.EncodeBatch(xs) }
+func (q *QuantPerfModel) encodeSig(xs []*mathx.Matrix) *mathx.Matrix  { return q.encK.EncodeBatch(xs) }
+func (q *QuantPerfModel) forwardHead(x *mathx.Matrix) *mathx.Matrix   { return q.head.ForwardBatch(x) }
 
-// encodeMissingSigs runs one batched encK forward over the (unique) missed
-// signatures and memoizes the resulting embeddings.
-func (q *QuantPerfModel) encodeMissingSigs() {
-	if len(q.missK) == 0 {
-		return
-	}
-	Tk, M := len(q.missK[0]), memsys.NumMetrics
-	q.xsK = mathx.EnsureMatrices(q.xsK, Tk, len(q.missK), M)
-	for u, p := range q.missK {
-		stageSeq(q.xsK, u, p, q.normIn)
-	}
-	hK := q.encK.EncodeBatch(q.xsK)
-	if len(q.sigCache)+len(q.missK) > sigCacheCap {
-		clear(q.sigCache)
-	}
-	for u, key := range q.missAt {
-		q.sigCache[key] = hK.Row(u).Clone()
-	}
-}
-
-// PredictEachInto predicts every sample into preds/errs (caller-owned,
-// both len(samples)): per-sample input errors first, then batched int8
-// forwards over same-shape runs. Repeated windows encode once per call
-// (dedup by slice identity) and repeated signatures once per cache
-// lifetime. Steady-state calls with a warm signature cache and fixed
-// shapes do not allocate.
+// PredictEachInto predicts every sample into preds/errs (caller-owned, both
+// len(samples)) through the shared inference path; see
+// perfInfer.predictEachInto for the per-sample error contract. Steady-state
+// calls with a warm signature cache and fixed shapes do not allocate.
 func (q *QuantPerfModel) PredictEachInto(samples []PerfSample, kind FutureKind, preds mathx.Vector, errs []error) {
-	if len(preds) != len(samples) || len(errs) != len(samples) {
-		panic("models: PredictEachInto output length mismatch")
-	}
-	if cap(q.hK) < len(samples) {
-		q.hK = make([]mathx.Vector, len(samples))
-		q.pend = make([]int, 0, len(samples))
-		q.group = make([]int, 0, len(samples))
-	}
-	q.hK = q.hK[:len(samples)]
-
-	// Phase 1: validate inputs; errors use the float path's messages.
-	q.pend = q.pend[:0]
-	for i := range samples {
-		s := &samples[i]
-		errs[i] = nil
-		preds[i] = 0
-		q.hK[i] = nil
-		if kind != FutureNone && s.Future(kind) == nil {
-			errs[i] = fmt.Errorf("models: sample %s missing %v future", s.App, kind)
-			continue
-		}
-		if !q.sigs.Has(s.App) {
-			errs[i] = fmt.Errorf("models: no signature for %q", s.App)
-			continue
-		}
-		q.pend = append(q.pend, i)
-	}
-
-	// Phase 2: resolve signature embeddings. Each round batches the cache
-	// misses that share the first miss's length (the store resamples to one
-	// SeqLen, so a second round only happens across store reloads) and at
-	// least one miss resolves per round, so this terminates.
-	for {
-		q.missK = q.missK[:0]
-		q.missAt = q.missAt[:0]
-		for _, i := range q.pend {
-			if q.hK[i] != nil {
-				continue
-			}
-			sig, _ := q.sigs.Get(samples[i].App)
-			if h, ok := q.sigEmbedding(sig.Steps); ok {
-				q.hK[i] = h
-				continue
-			}
-			key := seqID(sig.Steps)
-			fresh := true
-			for _, k := range q.missAt {
-				if k == key {
-					fresh = false
-					break
-				}
-			}
-			if fresh && (len(q.missK) == 0 || len(sig.Steps) == len(q.missK[0])) {
-				q.missK = append(q.missK, sig.Steps)
-				q.missAt = append(q.missAt, key)
-			}
-		}
-		if len(q.missK) == 0 {
-			break
-		}
-		q.encodeMissingSigs()
-	}
-
-	// Phase 3: batched forwards over same-past-length runs.
-	for len(q.pend) > 0 {
-		shape := len(samples[q.pend[0]].Past)
-		q.group = q.group[:0]
-		rest := q.pend[:0]
-		for _, i := range q.pend {
-			if len(samples[i].Past) == shape {
-				q.group = append(q.group, i)
-			} else {
-				rest = append(rest, i)
-			}
-		}
-		q.pend = rest
-		q.forwardGroupQuant(samples, kind, preds, errs)
-	}
-}
-
-// forwardGroupQuant runs one batched forward over q.group (uniform past
-// length), writing predictions/errors back through the group indices.
-func (q *QuantPerfModel) forwardGroupQuant(samples []PerfSample, kind FutureKind, preds mathx.Vector, errs []error) {
-	B := len(q.group)
-	Ts := len(samples[q.group[0]].Past)
-	H, M := q.Hidden, memsys.NumMetrics
-
-	// Dedup the past windows by identity — every admission query in a batch
-	// shares one history window.
-	if cap(q.rowS) < B {
-		q.rowS = make([]int, B)
-	}
-	q.rowS = q.rowS[:B]
-	q.uniqS = q.uniqS[:0]
-	clear(q.seenS)
-	for k, i := range q.group {
-		p := samples[i].Past
-		key := seqID(p)
-		u, ok := q.seenS[key]
-		if !ok {
-			u = len(q.uniqS)
-			q.seenS[key] = u
-			q.uniqS = append(q.uniqS, p)
-		}
-		q.rowS[k] = u
-	}
-	q.xsS = mathx.EnsureMatrices(q.xsS, Ts, len(q.uniqS), M)
-	for u, p := range q.uniqS {
-		stageSeq(q.xsS, u, p, q.normIn)
-	}
-	hS := q.encS.EncodeBatch(q.xsS)
-
-	q.headX = mathx.EnsureMatrix(q.headX, B, 2*H+1+M)
-	for k, i := range q.group {
-		s := &samples[i]
-		x := q.headX.Row(k)
-		copy(x[:H], hS.Row(q.rowS[k]))
-		copy(x[H:2*H], q.hK[i])
-		x[2*H] = s.Remote
-		fut := x[2*H+1:]
-		if f := s.Future(kind); f != nil {
-			for j, v := range f {
-				if v < 0 {
-					v = 0
-				}
-				fut[j] = (math.Log1p(v) - q.normIn.Mean[j]) / q.normIn.Std[j]
-			}
-		} else {
-			for j := range fut {
-				fut[j] = 0
-			}
-		}
-	}
-	Y := q.head.ForwardBatch(q.headX)
-	for k, i := range q.group {
-		out := math.Exp(Y.Data[k]*q.normOut.Std[0] + q.normOut.Mean[0])
-		if math.IsNaN(out) || math.IsInf(out, 0) {
-			errs[i] = fmt.Errorf("models: non-finite prediction for %s", samples[i].App)
-			continue
-		}
-		preds[i] = out
-	}
+	q.inf.predictEachInto(q, q.sigs, samples, kind, preds, errs)
 }
 
 // PredictEach is the allocating convenience wrapper around PredictEachInto.

@@ -157,17 +157,17 @@ func TestQuantPerfCacheAndZeroAlloc(t *testing.T) {
 			t.Fatalf("sample %d: %v", i, err)
 		}
 	}
-	if len(q.sigCache) == 0 {
+	if len(q.inf.emb) == 0 {
 		t.Fatal("signature-embedding cache empty after a warm call")
 	}
 	first := preds.Clone()
 
 	// A second call must hit the cache for every signature and reproduce the
 	// predictions bit-for-bit (the cache stores exact embeddings).
-	cached := len(q.sigCache)
+	cached := len(q.inf.emb)
 	q.PredictEachInto(batch, Future120Actual, preds, errs)
-	if len(q.sigCache) != cached {
-		t.Fatalf("cache grew from %d to %d on repeated signatures", cached, len(q.sigCache))
+	if len(q.inf.emb) != cached {
+		t.Fatalf("cache grew from %d to %d on repeated signatures", cached, len(q.inf.emb))
 	}
 	for i := range preds {
 		if preds[i] != first[i] {

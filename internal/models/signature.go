@@ -217,7 +217,6 @@ func CaptureSignature(p *workload.Profile, seed int64) ([]mathx.Vector, error) {
 		horizon = int(p.BaseExecSec*p.RemotePenaltyIso*3) + 10
 	}
 	c.Run(float64(horizon))
-	_ = in
 	var trace []mathx.Vector
 	for _, r := range c.History() {
 		if in.Done() && r.Time > in.DoneAt {

@@ -183,25 +183,20 @@ func (m *SysStateModel) Fit(windows []dataset.Window, trainIdx []int) error {
 	return nil
 }
 
-// Predict forecasts the horizon mean of every metric from a history window
-// (raw metric units in, raw units out).
+// Predict is PredictInto into a freshly allocated vector, for callers that
+// keep the forecast.
 func (m *SysStateModel) Predict(past []mathx.Vector) mathx.Vector {
-	if !m.trained {
-		panic("models: SysStateModel.Predict before Fit/Load")
-	}
-	logPast := logSeq(past)
-	xs := m.normIn.TransformSeq(logPast)
-	h := m.enc.Encode(xs, false)
-	y := m.head.Forward(m.headInput(h, logPast), false)
-	return expVec(m.normOut.Inverse(y))
+	out := mathx.NewVector(memsys.NumMetrics)
+	m.PredictInto(out, past)
+	return out
 }
 
 // PredictBatch forecasts every history window through the lockstep-batched
 // forward: the windows are staged as one minibatch per worker and each
 // layer runs one GEMM instead of a GEMV per window. Inference is
-// deterministic and per-sample bit-identical to the batched kernels'
-// sequential counterparts, so the result equals sequential Predict calls
-// bit for bit — only the wall time changes. Admission-sized batches run as
+// deterministic and bit-identical per sample whatever the batch size, so
+// the result equals Predict on each window bit for bit — only the wall time
+// changes. Admission-sized batches run as
 // a single batched call on the calling goroutine; large sweeps shard
 // contiguous chunks across model clones (see batchWorkers). Ragged window
 // lengths fall back to per-window Predict calls.

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"adrias/internal/mathx"
@@ -313,6 +315,15 @@ func TestSeqEncoderEncodeBatchBitIdentity(t *testing.T) {
 			}
 		}
 	}
+	// A training forward keeps what backward reads and must not move a bit
+	// of the embedding the inference forward produced.
+	infer := H2.Clone()
+	H3 := bat.EncodeBatch(xs, true)
+	for i, v := range H3.Data {
+		if math.Float64bits(v) != math.Float64bits(infer.Data[i]) {
+			t.Fatalf("cell %d: training forward %v, inference forward %v", i, v, infer.Data[i])
+		}
+	}
 	// Batched backward must run without panicking and accumulate into every
 	// layer (correctness of the values is covered by the LSTM grad checks).
 	dLast := mathx.NewMatrix(B, H)
@@ -332,6 +343,42 @@ func TestSeqEncoderEncodeBatchBitIdentity(t *testing.T) {
 			t.Errorf("%s: batched backward left gradient all-zero", p.Name)
 		}
 	}
+}
+
+// TestBackwardAfterInferenceForwardPanics: an inference forward keeps neither
+// the input copies nor the gate activations, so a backward pass after one
+// would differentiate the previous training batch. Both entry points refuse,
+// and a training forward re-arms them.
+func TestBackwardAfterInferenceForwardPanics(t *testing.T) {
+	const B, T, in, H = 2, 3, 2, 4
+	rng := randutil.New(77)
+	enc := NewSeqEncoder(in, H, 2, rng)
+	xs := make([]*mathx.Matrix, T)
+	for t2 := range xs {
+		xs[t2] = randBatch(rng, B, in)
+	}
+	dLast := randBatch(rng, B, H)
+	dhs := make([]*mathx.Matrix, T)
+	dhs[T-1] = dLast
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "backward after inference forward") {
+				t.Errorf("%s: recovered %q, want the backward-after-inference panic", name, msg)
+			}
+		}()
+		f()
+	}
+
+	enc.EncodeBatch(xs, true)
+	enc.EncodeBatch(xs, false)
+	mustPanic("SeqEncoder.BackwardFromLastBatch", func() { enc.BackwardFromLastBatch(dLast) })
+	l := enc.Layers[0]
+	mustPanic("LSTM.BackwardSeqBatch", func() { l.BackwardSeqBatch(dhs) })
+
+	enc.EncodeBatch(xs, true)
+	enc.BackwardFromLastBatch(dLast) // re-armed: must not panic
 }
 
 // TestTrainerBatchReplicaBitIdentical: training a feedforward net through

@@ -25,6 +25,10 @@ import (
 // lstmBatch is the LSTM's lockstep scratch arena.
 type lstmBatch struct {
 	B, T int
+	// inference records that the last forward ran with train=false and so
+	// left xs and the gate caches untouched; a backward pass over it would
+	// read another batch's activations.
+	inference bool
 
 	xs   []*mathx.Matrix // per-step input copies [B×I]
 	hs   []*mathx.Matrix // hidden states [B×H], hs[0] initial zeros
@@ -49,8 +53,10 @@ type lstmBatch struct {
 // every step ([B×H] per step, rows aligned with the input rows). The
 // returned matrices are arena-owned: valid until the next batched call on
 // this layer, not to be mutated. Row b of every step is bit-identical to
-// ForwardSeq on sequence b alone.
-func (l *LSTM) ForwardSeqBatch(xs []*mathx.Matrix, _ bool) []*mathx.Matrix {
+// ForwardSeq on sequence b alone. With train=false the input copies and the
+// gate activations only BackwardSeqBatch reads are not kept, and a backward
+// pass panics until the next training forward.
+func (l *LSTM) ForwardSeqBatch(xs []*mathx.Matrix, train bool) []*mathx.Matrix {
 	T := len(xs)
 	if T == 0 {
 		panic("nn: LSTM.ForwardSeqBatch on empty sequence")
@@ -58,15 +64,17 @@ func (l *LSTM) ForwardSeqBatch(xs []*mathx.Matrix, _ bool) []*mathx.Matrix {
 	B := xs[0].Rows
 	H := l.Hidden
 	s := &l.bat
-	s.B, s.T = B, T
-	s.xs = mathx.EnsureMatrices(s.xs, T, B, l.In)
+	s.B, s.T, s.inference = B, T, !train
 	s.hs = mathx.EnsureMatrices(s.hs, T+1, B, H)
 	s.cs = mathx.EnsureMatrices(s.cs, T+1, B, H)
-	s.gi = mathx.EnsureMatrices(s.gi, T, B, H)
-	s.gf = mathx.EnsureMatrices(s.gf, T, B, H)
-	s.gg = mathx.EnsureMatrices(s.gg, T, B, H)
-	s.go_ = mathx.EnsureMatrices(s.go_, T, B, H)
-	s.tanc = mathx.EnsureMatrices(s.tanc, T, B, H)
+	if train {
+		s.xs = mathx.EnsureMatrices(s.xs, T, B, l.In)
+		s.gi = mathx.EnsureMatrices(s.gi, T, B, H)
+		s.gf = mathx.EnsureMatrices(s.gf, T, B, H)
+		s.gg = mathx.EnsureMatrices(s.gg, T, B, H)
+		s.go_ = mathx.EnsureMatrices(s.go_, T, B, H)
+		s.tanc = mathx.EnsureMatrices(s.tanc, T, B, H)
+	}
 	s.concat = mathx.EnsureMatrix(s.concat, B, l.In+H)
 	s.z = mathx.EnsureMatrix(s.z, B, 4*H)
 	s.hs[0].Zero()
@@ -79,7 +87,9 @@ func (l *LSTM) ForwardSeqBatch(xs []*mathx.Matrix, _ bool) []*mathx.Matrix {
 			panic(fmt.Sprintf("nn: LSTM expects [%d×%d] inputs, got [%d×%d] at step %d",
 				B, l.In, X.Rows, X.Cols, t))
 		}
-		s.xs[t].CopyFrom(X)
+		if train {
+			s.xs[t].CopyFrom(X)
+		}
 		for b := 0; b < B; b++ {
 			crow := s.concat.Row(b)
 			copy(crow[:l.In], X.Row(b))
@@ -89,17 +99,18 @@ func (l *LSTM) ForwardSeqBatch(xs []*mathx.Matrix, _ bool) []*mathx.Matrix {
 		s.z.AddRowBias(bias)
 		for b := 0; b < B; b++ {
 			z := s.z.Row(b)
-			i, f, g, o := s.gi[t].Row(b), s.gf[t].Row(b), s.gg[t].Row(b), s.go_[t].Row(b)
-			cPrev, c := s.cs[t].Row(b), s.cs[t+1].Row(b)
-			h, tc := s.hs[t+1].Row(b), s.tanc[t].Row(b)
+			cPrev, c, h := s.cs[t].Row(b), s.cs[t+1].Row(b), s.hs[t+1].Row(b)
 			for j := 0; j < H; j++ {
-				i[j] = sigmoid(z[j])
-				f[j] = sigmoid(z[H+j])
-				g[j] = math.Tanh(z[2*H+j])
-				o[j] = sigmoid(z[3*H+j])
-				c[j] = f[j]*cPrev[j] + i[j]*g[j]
-				tc[j] = math.Tanh(c[j])
-				h[j] = o[j] * tc[j]
+				i, f := sigmoid(z[j]), sigmoid(z[H+j])
+				g, o := math.Tanh(z[2*H+j]), sigmoid(z[3*H+j])
+				c[j] = f*cPrev[j] + i*g
+				tc := math.Tanh(c[j])
+				h[j] = o * tc
+				if train {
+					k := b*H + j
+					s.gi[t].Data[k], s.gf[t].Data[k], s.gg[t].Data[k] = i, f, g
+					s.go_[t].Data[k], s.tanc[t].Data[k] = o, tc
+				}
 			}
 		}
 	}
@@ -116,6 +127,9 @@ func (l *LSTM) BackwardSeqBatch(dhs []*mathx.Matrix) []*mathx.Matrix {
 	s := &l.bat
 	if s.T == 0 {
 		panic("nn: LSTM.BackwardSeqBatch before ForwardSeqBatch")
+	}
+	if s.inference {
+		panic("nn: LSTM.BackwardSeqBatch: backward after inference forward")
 	}
 	B, T, H := s.B, s.T, l.Hidden
 	if len(dhs) != T {
@@ -190,6 +204,9 @@ func (e *SeqEncoder) EncodeBatch(xs []*mathx.Matrix, train bool) *mathx.Matrix {
 // gradients. The gradient with respect to the inputs is discarded, as in
 // BackwardFromLast.
 func (e *SeqEncoder) BackwardFromLastBatch(dLast *mathx.Matrix) {
+	if e.Layers[len(e.Layers)-1].bat.inference {
+		panic("nn: SeqEncoder.BackwardFromLastBatch: backward after inference forward")
+	}
 	if cap(e.bdhs) < e.lastT {
 		e.bdhs = make([]*mathx.Matrix, e.lastT)
 	}

@@ -72,11 +72,6 @@ func (s *Source) Normal(mean, std float64) float64 {
 	return mean + std*s.rng().NormFloat64()
 }
 
-// LogNormal returns a draw whose logarithm is Normal(mu, sigma).
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
-}
-
 // Exponential returns an exponential draw with the given mean (= 1/rate).
 // Panics if mean <= 0.
 func (s *Source) Exponential(mean float64) float64 {

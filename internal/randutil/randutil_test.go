@@ -121,15 +121,6 @@ func TestExponentialPanics(t *testing.T) {
 	New(1).Exponential(0)
 }
 
-func TestLogNormalPositive(t *testing.T) {
-	s := New(7)
-	for i := 0; i < 1000; i++ {
-		if s.LogNormal(0, 1) <= 0 {
-			t.Fatal("LogNormal must be positive")
-		}
-	}
-}
-
 func TestBernoulli(t *testing.T) {
 	s := New(8)
 	if s.Bernoulli(0) {

@@ -346,42 +346,46 @@ func (f *hotPathFixture) run(tb testing.TB, ctx context.Context) {
 }
 
 // TestServeHotPathZeroAlloc is the hot path's headline invariant: the
-// quantized decode→decide→encode path allocates nothing in steady state —
-// with the SLO engine attached and the wide-event sink armed — both when the
-// prediction memo answers the batch and when the window has moved and every
-// query runs through the models. Decisions are counted toward the SLO
-// sources on this path; wide events record only at commit, so the dry-run
-// loop must stay allocation-free.
+// decode→decide→encode path allocates nothing in steady state, on the float
+// predictor and on its int8 twin — with the SLO engine attached and the
+// wide-event sink armed — both when the prediction memo answers the batch
+// and when the window has moved and every query runs through the models.
+// Decisions are counted toward the SLO sources on this path; wide events
+// record only at commit, so the dry-run loop must stay allocation-free.
 func TestServeHotPathZeroAlloc(t *testing.T) {
-	f := newHotPathFixtureCfg(t, EngineConfig{
-		Seed: 21, Quantized: true, Events: obs.NewEventSink(64, 1, nil),
-	})
-	slo, err := BuildSLO(SLOConfig{}, NewMetrics(), f.eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.eng.AttachSLO(slo)
-	ctx := context.Background()
-	f.eng.Advance(1) // one SLO evaluation so the armed state is live
-	f.run(t, ctx)    // warm arenas, signature cache, intern table, decision ring
-	for i, r := range f.results {
-		if r.Err != nil || r.Tier.String() == "" {
-			t.Fatalf("result %d unusable: %+v", i, r)
-		}
-	}
-	hits, misses := f.eng.memo.Hits.Load(), f.eng.memo.Misses.Load()
-	if n := testing.AllocsPerRun(20, func() { f.run(t, ctx) }); n > 0 {
-		t.Errorf("steady-state hot path allocates %.1f/op on memo hits, want 0", n)
-	}
-	if m := f.eng.memo.Misses.Load(); m != misses || f.eng.memo.Hits.Load() == hits {
-		t.Errorf("static window: %d new misses, want every query a hit", m-misses)
-	}
-	hits, k := f.eng.memo.Hits.Load(), 0
-	if n := testing.AllocsPerRun(20, func() { f.runMiss(t, ctx, k); k++ }); n > 0 {
-		t.Errorf("steady-state hot path allocates %.1f/op on memo misses, want 0", n)
-	}
-	if h := f.eng.memo.Hits.Load(); h != hits || f.eng.memo.Misses.Load() == misses {
-		t.Errorf("moving window: %d new hits, want every query a miss", h-hits)
+	for _, quantized := range []bool{true, false} {
+		t.Run(fmt.Sprintf("quantized=%v", quantized), func(t *testing.T) {
+			f := newHotPathFixtureCfg(t, EngineConfig{
+				Seed: 21, Quantized: quantized, Events: obs.NewEventSink(64, 1, nil),
+			})
+			slo, err := BuildSLO(SLOConfig{}, NewMetrics(), f.eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.eng.AttachSLO(slo)
+			ctx := context.Background()
+			f.eng.Advance(1) // one SLO evaluation so the armed state is live
+			f.run(t, ctx)    // warm arenas, signature cache, intern table, decision ring
+			for i, r := range f.results {
+				if r.Err != nil || r.Tier.String() == "" {
+					t.Fatalf("result %d unusable: %+v", i, r)
+				}
+			}
+			hits, misses := f.eng.memo.Hits.Load(), f.eng.memo.Misses.Load()
+			if n := testing.AllocsPerRun(20, func() { f.run(t, ctx) }); n > 0 {
+				t.Errorf("steady-state hot path allocates %.1f/op on memo hits, want 0", n)
+			}
+			if m := f.eng.memo.Misses.Load(); m != misses || f.eng.memo.Hits.Load() == hits {
+				t.Errorf("static window: %d new misses, want every query a hit", m-misses)
+			}
+			hits, k := f.eng.memo.Hits.Load(), 0
+			if n := testing.AllocsPerRun(20, func() { f.runMiss(t, ctx, k); k++ }); n > 0 {
+				t.Errorf("steady-state hot path allocates %.1f/op on memo misses, want 0", n)
+			}
+			if h := f.eng.memo.Hits.Load(); h != hits || f.eng.memo.Misses.Load() == misses {
+				t.Errorf("moving window: %d new hits, want every query a miss", h-hits)
+			}
+		})
 	}
 }
 
@@ -414,14 +418,14 @@ func benchServeHotPath(b *testing.B, cfg EngineConfig, warm bool) {
 	b.ReportMetric(float64(len(f.reqs))*float64(b.N)/b.Elapsed().Seconds(), "placements/s")
 }
 
-// BenchmarkServeHotPathFloatB8 is the float baseline of the serve hot path
-// (allocates inside the float predictor, by design).
+// BenchmarkServeHotPathFloatB8 is the float serve hot path; the bench gate
+// requires 0 allocs/op of it, as of the int8 twin.
 func BenchmarkServeHotPathFloatB8(b *testing.B) {
 	benchServeHotPath(b, EngineConfig{Seed: 21}, false)
 }
 
-// BenchmarkServeHotPathQuantB8 is the gated path: bench-gate requires 0
-// allocs/op and ≥1.5× the float baseline's throughput.
+// BenchmarkServeHotPathQuantB8 is the int8 twin of the same path: bench-gate
+// requires 0 allocs/op and records its ratio to the float path.
 func BenchmarkServeHotPathQuantB8(b *testing.B) {
 	benchServeHotPath(b, EngineConfig{Seed: 21, Quantized: true}, false)
 }

@@ -385,7 +385,7 @@ func TestTailLatenciesMatchEagerExp(t *testing.T) {
 			}
 			mu := math.Log(median)
 			for i := 0; i < latSamplesPerTick; i++ {
-				x := ref.LogNormal(mu, p.LatSigma)
+				x := math.Exp(ref.Normal(mu, p.LatSigma)) // one log-normal latency draw
 				seen++
 				if len(vals) < maxLatSamples {
 					vals = append(vals, x)
