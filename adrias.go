@@ -106,7 +106,8 @@ func PaperOptions() Options {
 }
 
 // FastOptions is a scaled-down offline phase for examples and smoke runs:
-// a few short scenarios and small models, training in ≈10 seconds.
+// a few short scenarios and small models, training in ≈0.7 s on two cores
+// (BenchmarkTrainFast).
 func FastOptions() Options {
 	opts := PaperOptions()
 	opts.Corpus = scenario.CorpusSpec{
@@ -167,7 +168,12 @@ func Train(opts Options) (*System, error) {
 }
 
 // TrainOn trains on an existing trace corpus (so callers can reuse one
-// corpus across configurations, as the evaluation harness does).
+// corpus across configurations, as the evaluation harness does). It runs on
+// two lanes: the system-state fit, the longest piece, on its own goroutine,
+// and beside it the LC corpus, the signatures and the two performance fits.
+// Each model draws only from its own seeds, so the result does not depend on
+// how the lanes interleave. An error is returned once both lanes are done,
+// the system-state lane's first.
 func TrainOn(opts Options, reg *Registry, results []scenario.Result) (*System, error) {
 	spec := opts.Window
 	wspec := spec.WindowSpec()
@@ -192,49 +198,21 @@ func TrainOn(opts Options, reg *Registry, results []scenario.Result) (*System, e
 	trainW, testW := dataset.Split(len(windows), opts.TrainFrac, opts.Seed)
 
 	sys := models.NewSysStateModel(opts.Sys)
-	if err := sys.Fit(windows, trainW); err != nil {
-		return nil, fmt.Errorf("adrias: system-state training: %w", err)
+	var perf perfModels
+	sysErr, perfErr := runLanes(
+		func() error { return sys.Fit(windows, trainW) },
+		func() (err error) { perf, err = trainPerf(opts, reg, results); return err },
+	)
+	if sysErr != nil {
+		return nil, fmt.Errorf("adrias: system-state training: %w", sysErr)
 	}
-
-	sigs, err := models.BuildSignatures(reg, spec.HistTicks/spec.Stride, opts.Seed+100)
-	if err != nil {
-		return nil, fmt.Errorf("adrias: signature capture: %w", err)
-	}
-
-	samples := models.BuildPerfSamples(results, spec)
-	var be, lc []models.PerfSample
-	for _, s := range samples {
-		if s.Class == workload.BestEffort {
-			be = append(be, s)
-		} else {
-			lc = append(lc, s)
-		}
-	}
-	if opts.LCCorpus != nil {
-		lcResults, err := scenario.RunCorpus(*opts.LCCorpus, reg, nil)
-		if err != nil {
-			return nil, fmt.Errorf("adrias: LC trace collection: %w", err)
-		}
-		for _, smp := range models.BuildPerfSamples(lcResults, spec) {
-			if smp.Class == workload.LatencyCritical {
-				lc = append(lc, smp)
-			}
-		}
-	}
-	be = capSamples(be, opts.MaxPerfSamples, opts.Seed+11)
-	lc = capSamples(lc, opts.MaxPerfSamples, opts.Seed+12)
-	beModel, err := fitPerf(opts.Perf, sigs, be, opts.TrainFrac, opts.Seed+1)
-	if err != nil {
-		return nil, fmt.Errorf("adrias: BE model: %w", err)
-	}
-	lcModel, err := fitPerf(opts.Perf, sigs, lc, opts.TrainFrac, opts.Seed+2)
-	if err != nil {
-		return nil, fmt.Errorf("adrias: LC model: %w", err)
+	if perfErr != nil {
+		return nil, perfErr
 	}
 
 	return &System{
 		Registry: reg,
-		Pred:     &core.Predictor{Sys: sys, BE: beModel, LC: lcModel, Sigs: sigs},
+		Pred:     &core.Predictor{Sys: sys, BE: perf.be, LC: perf.lc, Sigs: perf.sigs},
 		Watch:    core.NewWatcher(spec),
 		Opts:     opts,
 		Results:  results,
@@ -242,6 +220,63 @@ func TrainOn(opts Options, reg *Registry, results []scenario.Result) (*System, e
 		TrainIdx: trainW,
 		TestIdx:  testW,
 	}, nil
+}
+
+// runLanes runs sysLane on its own goroutine beside perfLane and returns
+// both errors once both have finished.
+func runLanes(sysLane, perfLane func() error) (sysErr, perfErr error) {
+	done := make(chan error, 1)
+	go func() { done <- sysLane() }()
+	perfErr = perfLane()
+	return <-done, perfErr
+}
+
+// perfModels is the performance lane's output.
+type perfModels struct {
+	sigs   *models.SignatureStore
+	be, lc *models.PerfModel
+}
+
+// trainPerf is TrainOn's performance lane: the LC corpus, the signatures,
+// the perf samples, then the BE and LC fits.
+func trainPerf(opts Options, reg *Registry, results []scenario.Result) (perfModels, error) {
+	var out perfModels
+	spec := opts.Window
+	var lcResults []scenario.Result
+	if opts.LCCorpus != nil {
+		var err error
+		if lcResults, err = scenario.RunCorpus(*opts.LCCorpus, reg, nil); err != nil {
+			return out, fmt.Errorf("adrias: LC trace collection: %w", err)
+		}
+	}
+	sigs, err := models.BuildSignatures(reg, spec.HistTicks/spec.Stride, opts.Seed+100)
+	if err != nil {
+		return out, fmt.Errorf("adrias: signature capture: %w", err)
+	}
+	out.sigs = sigs
+
+	var be, lc []models.PerfSample
+	for _, s := range models.BuildPerfSamples(results, spec) {
+		if s.Class == workload.BestEffort {
+			be = append(be, s)
+		} else {
+			lc = append(lc, s)
+		}
+	}
+	for _, s := range models.BuildPerfSamples(lcResults, spec) {
+		if s.Class == workload.LatencyCritical {
+			lc = append(lc, s)
+		}
+	}
+	be = capSamples(be, opts.MaxPerfSamples, opts.Seed+11)
+	lc = capSamples(lc, opts.MaxPerfSamples, opts.Seed+12)
+	if out.be, err = fitPerf(opts.Perf, sigs, be, opts.TrainFrac, opts.Seed+1); err != nil {
+		return out, fmt.Errorf("adrias: BE model: %w", err)
+	}
+	if out.lc, err = fitPerf(opts.Perf, sigs, lc, opts.TrainFrac, opts.Seed+2); err != nil {
+		return out, fmt.Errorf("adrias: LC model: %w", err)
+	}
+	return out, nil
 }
 
 func fitPerf(cfg models.PerfConfig, sigs *models.SignatureStore, samples []models.PerfSample, frac float64, seed int64) (*models.PerfModel, error) {

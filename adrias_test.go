@@ -1,8 +1,11 @@
 package adrias
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"adrias/internal/core"
@@ -175,5 +178,41 @@ func TestRetrain(t *testing.T) {
 	ev := next.Pred.Sys.Evaluate(next.Windows, next.TestIdx)
 	if ev.R2Avg < 0.4 {
 		t.Errorf("retrained system-state R² = %v", ev.R2Avg)
+	}
+}
+
+// TestTrainOnLanesJoinBeforeError: an error on either training lane comes
+// back only once the other lane has finished, and TrainOn reports the
+// system-state lane's error first.
+func TestTrainOnLanesJoinBeforeError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, failing := range []string{"perf", "sys"} {
+		failed := make(chan struct{})
+		var otherDone atomic.Bool
+		fail := func() error { close(failed); return boom }
+		other := func() error { <-failed; otherDone.Store(true); return nil }
+		sysLane, perfLane := other, fail
+		if failing == "sys" {
+			sysLane, perfLane = fail, other
+		}
+		sysErr, perfErr := runLanes(sysLane, perfLane)
+		if !otherDone.Load() {
+			t.Errorf("%s lane failed: returned before the other lane finished", failing)
+		}
+		if (failing == "sys") != (sysErr == boom) || (failing == "perf") != (perfErr == boom) {
+			t.Errorf("%s lane failed: errors sys=%v perf=%v", failing, sysErr, perfErr)
+		}
+	}
+
+	sys := system(t)
+	opts := sys.Opts
+	opts.Sys.Epochs = 1
+	opts.MaxPerfSamples = 5
+	if _, err := TrainOn(opts, sys.Registry, sys.Results); err == nil || !strings.HasPrefix(err.Error(), "adrias: BE model: only") {
+		t.Errorf("perf lane error = %v", err)
+	}
+	opts.TrainFrac = 0 // both lanes fail
+	if _, err := TrainOn(opts, sys.Registry, sys.Results); err == nil || !strings.HasPrefix(err.Error(), "adrias: system-state training:") {
+		t.Errorf("both lanes failing: error = %v, want the system-state lane's", err)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"testing"
 
+	"adrias"
 	"adrias/internal/dataset"
 	"adrias/internal/experiments"
 	"adrias/internal/models"
@@ -234,5 +235,18 @@ func BenchmarkPerfFitWorkers(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTrainFast times the offline phase every server boot runs,
+// adrias.Train(FastOptions()): trace collection, signature capture and the
+// three model fits on their two lanes. scripts/bench_gate.sh records the
+// median of six one-iteration runs as train_fast_s.
+func BenchmarkTrainFast(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := adrias.Train(adrias.FastOptions()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

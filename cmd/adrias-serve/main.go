@@ -28,7 +28,7 @@
 //	             [-event-log events.jsonl] [-event-sample 1]
 //
 // Without -models the fast offline phase trains a small model set first
-// (≈10 s). -debug-addr opens a second listener with the pprof surface
+// (≈0.7 s on two cores). -debug-addr opens a second listener with the pprof surface
 // (/debug/pprof/). -bus-addr serves the in-process event bus over TCP so
 // external subscribers can follow decisions and monitoring samples live.
 // SIGINT/SIGTERM stops intake, drains admitted requests, and exits.
@@ -202,7 +202,7 @@ func main() {
 		}
 		fmt.Printf("loaded models from %s\n", *modelsDir)
 	} else {
-		fmt.Println("no -models dir given; training fast models (≈10 s)...")
+		fmt.Println("no -models dir given; training fast models (≈0.7 s)...")
 		start := time.Now()
 		sys, err = adrias.Train(adrias.FastOptions())
 		if err != nil {

@@ -73,7 +73,7 @@ func main() {
 		}
 		fmt.Printf("loaded models from %s\n", *modelsDir)
 	} else {
-		fmt.Println("no -models dir given; training fast models (≈10 s)...")
+		fmt.Println("no -models dir given; training fast models (≈0.7 s)...")
 		sys, err = adrias.Train(adrias.FastOptions())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

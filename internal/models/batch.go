@@ -14,13 +14,16 @@ import (
 // forecast through. A minibatch of windows is staged into lockstep matrices
 // (rows are samples) and run through the nn batched path — one GEMM pipeline
 // per layer instead of a per-sample loop. Row b of every staged matrix is
-// produced by exactly the floating-point operations the sequential path
+// produced by exactly the floating-point operations a per-sample path
 // applies to sample b (log1p → z-score in the same order), and the nn layers
-// are bit-identical per sample, so batched results equal the per-sample
-// training step's forward bit for bit. The staging buffers live in per-model
-// scratch arenas (mathx.EnsureMatrix): steady state at a fixed batch size
-// performs no allocations. Scratch never reaches Clone or the gob wire
-// format. The performance model's inference path is in infer.go.
+// are bit-identical per sample in both directions, gradients included, so a
+// shard trained as lockstep groups leaves the weights a per-sample loop over
+// the shard would. Groups are maximal runs of consecutive samples with equal
+// sequence lengths, never regrouped out of order: the gradient sum keeps the
+// shard's sample order. The staging buffers live in per-model scratch arenas
+// (mathx.EnsureMatrix): steady state at a fixed batch size performs no
+// allocations. Scratch never reaches Clone or the gob wire format. The
+// performance model's inference path is in infer.go.
 
 // sysBatch is SysStateModel's batched staging arena.
 type sysBatch struct {
@@ -45,8 +48,9 @@ func uniformLen(pasts [][]mathx.Vector) int {
 
 // stageWindow writes the normalized log history of one window into row b of
 // the per-step input matrices and accumulates the log-space history mean
-// into skip — the same op sequence as TransformSeq(logSeq(past)) plus the
-// headInput mean, inlined to stay allocation-free.
+// into skip (the head's skip connection, z-scored) — the op sequence of
+// TransformSeq(logSeq(past)) and Transform(mean of the log rows), inlined to
+// stay allocation-free.
 func stageWindow(xs []*mathx.Matrix, b int, past []mathx.Vector, norm *dataset.Normalizer, skip mathx.Vector) {
 	for j := range skip {
 		skip[j] = 0
@@ -129,50 +133,51 @@ func (m *SysStateModel) forecastInto(out []mathx.Vector, pasts [][]mathx.Vector)
 	}
 }
 
-// batchStep returns the shard-at-a-time closure batched training drives
-// (Trainer.AddBatchReplica): one lockstep forward/backward per shard.
-// Head gradients accumulate in sample order (bit-identical to the
-// per-sample step); the LSTM encoder's weight-gradient sum interleaves
-// samples within each timestep — the Workers ≥ 2 reassociation caveat.
+// batchStep returns the shard-at-a-time closure the trainer drives
+// (Trainer.AddBatchReplica): one lockstep forward/backward per run of
+// equal-length windows (every shard is one run unless windows are ragged),
+// leaving the gradients a per-sample loop over the shard would.
 func (m *SysStateModel) batchStep(windows []dataset.Window, idx []int) func([]int) (float64, error) {
-	step := m.step(windows, idx)
 	pasts := make([][]mathx.Vector, 0, m.Cfg.Batch)
 	return func(shard []int) (float64, error) {
 		pasts = pasts[:0]
 		for _, pi := range shard {
 			pasts = append(pasts, windows[idx[pi]].Past)
 		}
-		if uniformLen(pasts) < 0 {
-			// Ragged windows cannot run in lockstep; fall back per sample.
-			var total float64
-			for _, pi := range shard {
-				l, err := step(pi)
-				if err != nil {
-					return total, err
-				}
-				total += l
-			}
-			return total, nil
-		}
-		B, H := len(shard), m.Cfg.Hidden
-		Y := m.forecastBatch(pasts, true)
-		s := &m.bat
-		s.dY = mathx.EnsureMatrix(s.dY, B, memsys.NumMetrics)
 		var total float64
-		for k, pi := range shard {
-			target := m.normOut.Transform(logVec(windows[idx[pi]].FutureMean))
-			loss, g := nn.MSELoss(Y.Row(k), target)
-			total += loss
-			copy(s.dY.Row(k), g)
+		for lo := 0; lo < len(shard); {
+			hi := lo + 1
+			for hi < len(shard) && len(pasts[hi]) == len(pasts[lo]) {
+				hi++
+			}
+			total = m.trainRun(total, windows, idx, shard[lo:hi], pasts[lo:hi])
+			lo = hi
 		}
-		dX := m.head.BackwardBatch(s.dY)
-		s.dh = mathx.EnsureMatrix(s.dh, B, H)
-		for b := 0; b < B; b++ {
-			copy(s.dh.Row(b), dX.Row(b)[:H])
-		}
-		m.enc.BackwardFromLastBatch(s.dh)
 		return total, nil
 	}
+}
+
+// trainRun is one lockstep forward/backward over a run of equal-length
+// windows (shard positions run, their pasts). It adds each sample's loss to
+// total in order and returns the sum.
+func (m *SysStateModel) trainRun(total float64, windows []dataset.Window, idx, run []int, pasts [][]mathx.Vector) float64 {
+	B, H := len(run), m.Cfg.Hidden
+	Y := m.forecastBatch(pasts, true)
+	s := &m.bat
+	s.dY = mathx.EnsureMatrix(s.dY, B, memsys.NumMetrics)
+	for k, pi := range run {
+		target := m.normOut.Transform(logVec(windows[idx[pi]].FutureMean))
+		loss, g := nn.MSELoss(Y.Row(k), target)
+		total += loss
+		copy(s.dY.Row(k), g)
+	}
+	dX := m.head.BackwardBatch(s.dY)
+	s.dh = mathx.EnsureMatrix(s.dh, B, H)
+	for b := 0; b < B; b++ {
+		copy(s.dh.Row(b), dX.Row(b)[:H])
+	}
+	m.enc.BackwardFromLastBatch(s.dh)
+	return total
 }
 
 // perfBatch is PerfModel's batched training arena.
@@ -201,7 +206,7 @@ func stageSeq(xs []*mathx.Matrix, b int, seq []mathx.Vector, norm *dataset.Norma
 
 // stageFuture writes the normalized log Ŝ vector into the head-input slot
 // dst, or zeros when there is none (FutureNone) — Transform(logVec(future))
-// inlined, as the sequential forward does it.
+// inlined.
 func stageFuture(dst, future mathx.Vector, norm *dataset.Normalizer) {
 	if future == nil {
 		for j := range dst {
@@ -259,18 +264,17 @@ func (m *PerfModel) forwardGroup(group []*PerfSample, sigSteps [][]mathx.Vector,
 }
 
 // batchStep returns PerfModel's shard-at-a-time training closure
-// (Trainer.AddBatchReplica). The shard is processed as lockstep groups in
-// order of first appearance; the same reassociation caveat as
-// SysStateModel.batchStep applies to the encoder weight gradients.
+// (Trainer.AddBatchReplica). Every sample is validated first; then each
+// maximal run of consecutive samples sharing a past length and a signature
+// length trains as one lockstep group, in shard order.
 func (m *PerfModel) batchStep(samples []PerfSample, trainIdx []int) func([]int) (float64, error) {
+	var group []*PerfSample
+	var sigSteps [][]mathx.Vector
+	var futures []mathx.Vector
 	return func(shard []int) (float64, error) {
-		type shape struct{ ts, tk int }
-		groups := make(map[shape][]int)
-		order := make([]shape, 0, 1)
-		sigSteps := make([][]mathx.Vector, len(shard))
-		futures := make([]mathx.Vector, len(shard))
+		group, sigSteps, futures = group[:0], sigSteps[:0], futures[:0]
 		sigs := m.sigStore()
-		for j, pi := range shard {
+		for _, pi := range shard {
 			s := &samples[trainIdx[pi]]
 			f := s.Future(m.Cfg.TrainFuture)
 			if m.Cfg.TrainFuture != FutureNone && f == nil {
@@ -280,44 +284,44 @@ func (m *PerfModel) batchStep(samples []PerfSample, trainIdx []int) func([]int) 
 			if !ok {
 				return 0, fmt.Errorf("models: no signature for %q", s.App)
 			}
-			futures[j] = f
-			sigSteps[j] = sig.Steps
-			k := shape{len(s.Past), len(sig.Steps)}
-			if _, seen := groups[k]; !seen {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], j)
+			group = append(group, s)
+			sigSteps = append(sigSteps, sig.Steps)
+			futures = append(futures, f)
 		}
-		H := m.Cfg.Hidden
 		var total float64
-		for _, k := range order {
-			idx := groups[k]
-			B := len(idx)
-			group := make([]*PerfSample, B)
-			steps := make([][]mathx.Vector, B)
-			futs := make([]mathx.Vector, B)
-			for j, gi := range idx {
-				group[j], steps[j], futs[j] = &samples[trainIdx[shard[gi]]], sigSteps[gi], futures[gi]
+		for lo := 0; lo < len(group); {
+			hi := lo + 1
+			for hi < len(group) && len(group[hi].Past) == len(group[lo].Past) && len(sigSteps[hi]) == len(sigSteps[lo]) {
+				hi++
 			}
-			Y := m.forwardGroup(group, steps, futs)
-			s := &m.bat
-			s.dY = mathx.EnsureMatrix(s.dY, B, 1)
-			for j, sm := range group {
-				target := m.normOut.Transform(mathx.Vector{math.Log(sm.Perf)})
-				loss, g := nn.MSELoss(Y.Row(j), target)
-				total += loss
-				s.dY.Data[j] = g[0]
-			}
-			dX := m.head.BackwardBatch(s.dY)
-			s.dhS = mathx.EnsureMatrix(s.dhS, B, H)
-			s.dhK = mathx.EnsureMatrix(s.dhK, B, H)
-			for b := 0; b < B; b++ {
-				copy(s.dhS.Row(b), dX.Row(b)[:H])
-				copy(s.dhK.Row(b), dX.Row(b)[H:2*H])
-			}
-			m.encS.BackwardFromLastBatch(s.dhS)
-			m.encK.BackwardFromLastBatch(s.dhK)
+			total = m.trainGroup(total, group[lo:hi], sigSteps[lo:hi], futures[lo:hi])
+			lo = hi
 		}
 		return total, nil
 	}
+}
+
+// trainGroup is one lockstep forward/backward over a group forwardGroup
+// accepts. It adds each sample's loss to total in order and returns the sum.
+func (m *PerfModel) trainGroup(total float64, group []*PerfSample, sigSteps [][]mathx.Vector, futures []mathx.Vector) float64 {
+	B, H := len(group), m.Cfg.Hidden
+	Y := m.forwardGroup(group, sigSteps, futures)
+	s := &m.bat
+	s.dY = mathx.EnsureMatrix(s.dY, B, 1)
+	for j, sm := range group {
+		target := m.normOut.Transform(mathx.Vector{math.Log(sm.Perf)})
+		loss, g := nn.MSELoss(Y.Row(j), target)
+		total += loss
+		s.dY.Data[j] = g[0]
+	}
+	dX := m.head.BackwardBatch(s.dY)
+	s.dhS = mathx.EnsureMatrix(s.dhS, B, H)
+	s.dhK = mathx.EnsureMatrix(s.dhK, B, H)
+	for b := 0; b < B; b++ {
+		copy(s.dhS.Row(b), dX.Row(b)[:H])
+		copy(s.dhK.Row(b), dX.Row(b)[H:2*H])
+	}
+	m.encS.BackwardFromLastBatch(s.dhS)
+	m.encK.BackwardFromLastBatch(s.dhK)
+	return total
 }

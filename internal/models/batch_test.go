@@ -11,23 +11,11 @@ import (
 )
 
 // TestSysStateBatchedFitLearnsAndIsDeterministic: the lockstep-batched fit
-// must reach the sequential quality bar and be exactly reproducible run to
-// run (the batched gradient accumulation is deterministic for a fixed
-// shard order, even though it reassociates against the per-sample loop).
+// must reach the quality bar and be exactly reproducible run to run.
 func TestSysStateBatchedFitLearnsAndIsDeterministic(t *testing.T) {
-	results := smallCorpus(t, 3, 500)
-	spec := dataset.WindowSpec{Hist: 60, Horizon: 60, Stride: 10, Hop: 7}
-	var windows []dataset.Window
-	for _, r := range results {
-		ws, err := dataset.FromHistory(r.History, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		windows = append(windows, ws...)
-	}
+	windows := sysWindows(t)
 	train, test := dataset.Split(len(windows), 0.6, 11)
 	cfg := tinySysConfig()
-	cfg.Batched = true
 
 	a := NewSysStateModel(cfg)
 	if err := a.Fit(windows, train); err != nil {
@@ -60,7 +48,6 @@ func TestPerfBatchedFitLearnsAndIsDeterministic(t *testing.T) {
 	be, sigs := buildPerfFixtures(t)
 	train, test := dataset.Split(len(be), 0.6, 13)
 	cfg := tinyPerfConfig()
-	cfg.Batched = true
 
 	a := NewPerfModel(cfg, sigs)
 	if err := a.Fit(be, train); err != nil {
@@ -242,12 +229,11 @@ func BenchmarkPredictBatchB8(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictCloneFanoutB8 reproduces the retired clone-fan-out
+// BenchmarkPredictCloneFanoutB8 approximates the retired clone-fan-out
 // inference path at one core: the fan-out degenerated to a sequential
-// per-window loop over the vector path (inferWorkers clamped to
-// GOMAXPROCS), which predictSequential keeps as the test reference, so this
-// is what a B=8 batch cost before the batched tensor core. Run with -cpu 1
-// for the like-for-like comparison.
+// per-window loop (inferWorkers clamped to GOMAXPROCS), which
+// predictSequential keeps as the test reference. Run with -cpu 1 for the
+// like-for-like comparison.
 func BenchmarkPredictCloneFanoutB8(b *testing.B) {
 	m, pasts := benchSysModel(b, 8)
 	b.ReportAllocs()
@@ -259,14 +245,12 @@ func BenchmarkPredictCloneFanoutB8(b *testing.B) {
 	}
 }
 
-// predictSequential is SysStateModel.Predict as it was before PredictInto:
-// the per-sample vector path (Encode, headInput, Forward) that the Workers ≤ 1
-// training step still runs, kept as the reference the lockstep forecasts are
-// compared against.
+// predictSequential is the per-sample reference forecast (reference_test.go):
+// normalizer-built inputs, the encoder as a batch of one, the vector head.
 func predictSequential(m *SysStateModel, past []mathx.Vector) mathx.Vector {
 	logPast := logSeq(past)
-	h := m.enc.Encode(m.normIn.TransformSeq(logPast), false)
-	return expVec(m.normOut.Inverse(m.head.Forward(m.headInput(h, logPast), false)))
+	h := encodeOne(m.enc, m.normIn.TransformSeq(logPast), false)
+	return expVec(m.normOut.Inverse(m.head.Forward(sysHeadInput(m, h, logPast), false)))
 }
 
 // TestSysStatePredictIntoMatchesSequential: the batch-of-one forecast over

@@ -161,18 +161,24 @@ func tinySysConfig() SysStateConfig {
 	return SysStateConfig{Hidden: 12, BlockDim: 16, Dropout: 0, LR: 2e-3, Epochs: 6, Batch: 16, Seed: 3}
 }
 
-func trainSmallSysModel(t testing.TB) (*SysStateModel, []dataset.Window, []int, []int) {
+// sysWindows cuts the small corpus into system-state windows.
+func sysWindows(t testing.TB) []dataset.Window {
 	t.Helper()
-	results := smallCorpus(t, 3, 500)
 	spec := dataset.WindowSpec{Hist: 60, Horizon: 60, Stride: 10, Hop: 7}
 	var windows []dataset.Window
-	for _, r := range results {
+	for _, r := range smallCorpus(t, 3, 500) {
 		ws, err := dataset.FromHistory(r.History, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		windows = append(windows, ws...)
 	}
+	return windows
+}
+
+func trainSmallSysModel(t testing.TB) (*SysStateModel, []dataset.Window, []int, []int) {
+	t.Helper()
+	windows := sysWindows(t)
 	if len(windows) < 50 {
 		t.Fatalf("too few windows: %d", len(windows))
 	}

@@ -12,9 +12,9 @@ import (
 	"adrias/internal/randutil"
 )
 
-// legacyPerfFit is a verbatim copy of the pre-Trainer sequential training
-// loop (accumulate per sample, step every Batch, flush the tail). The
-// Workers ≤ 1 path of the rewritten Fit must reproduce it bit for bit.
+// legacyPerfFit is the pre-Trainer sequential training loop (accumulate per
+// sample through the per-sample reference step, step every Batch, flush the
+// tail). The Workers ≤ 1 path of Fit must reproduce it bit for bit.
 func legacyPerfFit(t *testing.T, m *PerfModel, samples []PerfSample, trainIdx []int) {
 	t.Helper()
 	var metricRows []mathx.Vector
@@ -43,13 +43,13 @@ func legacyPerfFit(t *testing.T, m *PerfModel, samples []PerfSample, trainIdx []
 		for _, pi := range perm {
 			s := &samples[trainIdx[pi]]
 			f := s.Future(m.Cfg.TrainFuture)
-			y, err := m.forward(s, f, true)
+			y, err := perfForward(m, s, f, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			target := m.normOut.Transform(mathx.Vector{math.Log(s.Perf)})
 			_, g := nn.MSELoss(y, target)
-			m.backward(g)
+			perfBackward(m, g)
 			batch++
 			if batch == m.Cfg.Batch {
 				opt.Step(params, 1/float64(batch))
@@ -222,16 +222,7 @@ func TestPerfPredictBatchMatchesSequential(t *testing.T) {
 // TestSysStateFitMultiWorker: the system-state model trains sharded,
 // deterministically, and its batch inference matches sequential Predict.
 func TestSysStateFitMultiWorker(t *testing.T) {
-	results := smallCorpus(t, 3, 500)
-	spec := dataset.WindowSpec{Hist: 60, Horizon: 60, Stride: 10, Hop: 7}
-	var windows []dataset.Window
-	for _, r := range results {
-		ws, err := dataset.FromHistory(r.History, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		windows = append(windows, ws...)
-	}
+	windows := sysWindows(t)
 	train, test := dataset.Split(len(windows), 0.6, 11)
 
 	cfg := tinySysConfig()

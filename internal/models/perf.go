@@ -195,13 +195,6 @@ type PerfConfig struct {
 	// 0 or 1 trains sequentially, bit-identical to the pre-parallel
 	// trainer. Batch inference always batches — see PredictEach.
 	Workers int
-	// Batched routes training through the lockstep-batched forward/backward
-	// (one GEMM pipeline per minibatch shard instead of per-sample GEMVs).
-	// The head accumulates gradients in sample order; the two LSTM
-	// encoders' weight-gradient sums interleave samples within each
-	// timestep, so a batched fit reproduces a sequential one only up to
-	// floating-point reassociation — the same caveat as Workers ≥ 2.
-	Batched bool
 	// TrainFuture/EvalFuture select the Ŝ source in each phase — the paper's
 	// {train,test} ablation pairs. The pragmatic deployment choice is
 	// {Future120Actual, FuturePredicted}.
@@ -270,31 +263,6 @@ func (m *PerfModel) Params() []*nn.Param {
 // sigStore returns the current signature store (one atomic load).
 func (m *PerfModel) sigStore() *SignatureStore { return m.sigs.Load() }
 
-// forward runs one sample through the network. future may be nil.
-func (m *PerfModel) forward(s *PerfSample, future mathx.Vector, train bool) (mathx.Vector, error) {
-	sig, ok := m.sigStore().Get(s.App)
-	if !ok {
-		return nil, fmt.Errorf("models: no signature for %q", s.App)
-	}
-	hS := m.encS.Encode(m.normIn.TransformSeq(logSeq(s.Past)), train)
-	hK := m.encK.Encode(m.normIn.TransformSeq(logSeq(sig.Steps)), train)
-	x := mathx.NewVector(2*m.Cfg.Hidden + 1 + memsys.NumMetrics)
-	copy(x, hS)
-	copy(x[m.Cfg.Hidden:], hK)
-	x[2*m.Cfg.Hidden] = s.Remote
-	if future != nil {
-		copy(x[2*m.Cfg.Hidden+1:], m.normIn.Transform(logVec(future)))
-	}
-	return m.head.Forward(x, train), nil
-}
-
-// backward propagates the output gradient through head and both encoders.
-func (m *PerfModel) backward(g mathx.Vector) {
-	dx := m.head.Backward(g)
-	m.encS.BackwardFromLast(dx[:m.Cfg.Hidden].Clone())
-	m.encK.BackwardFromLast(dx[m.Cfg.Hidden : 2*m.Cfg.Hidden].Clone())
-}
-
 // cloneWith deep-copies the network, sharing the config, signature store,
 // and the fitted normalizers (all read-only after Fit). rng seeds the
 // clone's dropout streams.
@@ -330,29 +298,10 @@ func (m *PerfModel) Clone() *PerfModel {
 // sees the store changed and drops it (perfInfer.resolveSigs).
 func (m *PerfModel) Rebind(sigs *SignatureStore) { m.sigs.Store(sigs) }
 
-// step returns the per-sample forward/backward closure the trainer drives:
-// sample pi is a position into the shuffled permutation over trainIdx.
-func (m *PerfModel) step(samples []PerfSample, trainIdx []int) func(int) (float64, error) {
-	return func(pi int) (float64, error) {
-		s := &samples[trainIdx[pi]]
-		f := s.Future(m.Cfg.TrainFuture)
-		if m.Cfg.TrainFuture != FutureNone && f == nil {
-			return 0, fmt.Errorf("models: sample %s missing %v future", s.App, m.Cfg.TrainFuture)
-		}
-		y, err := m.forward(s, f, true)
-		if err != nil {
-			return 0, err
-		}
-		target := m.normOut.Transform(mathx.Vector{math.Log(s.Perf)})
-		loss, g := nn.MSELoss(y, target)
-		m.backward(g)
-		return loss, nil
-	}
-}
-
 // Fit trains on the samples selected by trainIdx, using Cfg.TrainFuture as
-// the Ŝ source and sharding each minibatch across Cfg.Workers replicas
-// (sequentially for Workers ≤ 1).
+// the Ŝ source, sharding each minibatch across Cfg.Workers replicas
+// (sequentially for Workers ≤ 1) and running each shard as lockstep batches
+// (batchStep).
 func (m *PerfModel) Fit(samples []PerfSample, trainIdx []int) error {
 	if len(trainIdx) == 0 {
 		return fmt.Errorf("models: empty training set")
@@ -381,11 +330,7 @@ func (m *PerfModel) Fit(samples []PerfSample, trainIdx []int) error {
 	rng := randutil.New(m.Cfg.Seed).Split(0xbee)
 	tr := nn.NewTrainer(nn.NewAdam(m.Cfg.LR), m.Cfg.Batch, m.Params())
 	register := func(rep *PerfModel) {
-		if m.Cfg.Batched {
-			tr.AddBatchReplica(rep.Params(), rep.batchStep(samples, trainIdx))
-		} else {
-			tr.AddReplica(rep.Params(), rep.step(samples, trainIdx))
-		}
+		tr.AddBatchReplica(rep.Params(), rep.batchStep(samples, trainIdx))
 	}
 	if W := trainWorkers(m.Cfg.Workers); W <= 1 {
 		register(m)
@@ -410,24 +355,13 @@ func (m *PerfModel) Predict(s *PerfSample) (float64, error) {
 	return m.PredictWith(s, m.Cfg.EvalFuture)
 }
 
-// PredictWith predicts using an explicit Ŝ source.
+// PredictWith predicts using an explicit Ŝ source: PredictEachInto over
+// one sample.
 func (m *PerfModel) PredictWith(s *PerfSample, kind FutureKind) (float64, error) {
-	if !m.trained {
-		return 0, fmt.Errorf("models: PerfModel.Predict before Fit/Load")
-	}
-	f := s.Future(kind)
-	if kind != FutureNone && f == nil {
-		return 0, fmt.Errorf("models: sample %s missing %v future", s.App, kind)
-	}
-	y, err := m.forward(s, f, false)
-	if err != nil {
-		return 0, err
-	}
-	out := math.Exp(m.normOut.Inverse(y)[0])
-	if math.IsNaN(out) || math.IsInf(out, 0) {
-		return 0, fmt.Errorf("models: non-finite prediction for %s", s.App)
-	}
-	return out, nil
+	var pred [1]float64
+	var err [1]error
+	m.PredictEachInto([]PerfSample{*s}, kind, pred[:], err[:])
+	return pred[0], err[0]
 }
 
 // PerfEval summarizes evaluation of the performance model.
@@ -456,9 +390,9 @@ func (m *PerfModel) forwardHead(x *mathx.Matrix) *mathx.Matrix  { return m.head.
 // len(samples)) on this instance's arena, through the inference path the
 // int8 twin shares (perfInfer.predictEachInto: per-sample errors, one
 // minibatch per past length, windows and signatures encoded once). The
-// batched kernels are bit-identical per sample, so results equal a
-// sequential PredictWith loop bit for bit, cached or not. Steady-state
-// calls do not allocate.
+// batched kernels are bit-identical per sample, so results do not depend on
+// how samples are batched, cached or not. Steady-state calls do not
+// allocate.
 func (m *PerfModel) PredictEachInto(samples []PerfSample, kind FutureKind, preds mathx.Vector, errs []error) {
 	if !m.trained {
 		err := fmt.Errorf("models: PerfModel.Predict before Fit/Load")

@@ -29,15 +29,6 @@ type SysStateConfig struct {
 	// 0 or 1 trains sequentially, bit-identical to the pre-parallel
 	// trainer. Batch inference always batches — see PredictBatch.
 	Workers int
-	// Batched routes training through the lockstep-batched forward/backward
-	// (one GEMM pipeline per minibatch shard instead of per-sample GEMVs).
-	// The head accumulates gradients in sample order (bit-identical to the
-	// per-sample step); the LSTM encoder's weight-gradient sum interleaves
-	// samples within each timestep, so a batched fit reproduces a
-	// sequential one only up to floating-point reassociation — the same
-	// caveat as Workers ≥ 2, and like it, part of the experiment's
-	// reproducibility contract.
-	Batched bool
 }
 
 // DefaultSysStateConfig returns a configuration that trains in seconds on
@@ -84,20 +75,6 @@ func NewSysStateModel(cfg SysStateConfig) *SysStateModel {
 	return m
 }
 
-// headInput concatenates the encoder embedding with the normalized history
-// mean skip connection. past must already be in log space.
-func (m *SysStateModel) headInput(h mathx.Vector, logPast []mathx.Vector) mathx.Vector {
-	x := mathx.NewVector(m.Cfg.Hidden + memsys.NumMetrics)
-	copy(x, h)
-	mean := mathx.NewVector(memsys.NumMetrics)
-	for _, r := range logPast {
-		mean.Add(r)
-	}
-	mean.Scale(1 / float64(len(logPast)))
-	copy(x[m.Cfg.Hidden:], m.normIn.Transform(mean))
-	return x
-}
-
 // Params returns all trainable parameters.
 func (m *SysStateModel) Params() []*nn.Param {
 	return append(m.enc.Params(), m.head.Params()...)
@@ -123,25 +100,9 @@ func (m *SysStateModel) Clone() *SysStateModel {
 	return m.cloneWith(randutil.New(m.Cfg.Seed).Split(0xc1))
 }
 
-// step returns the per-sample forward/backward closure the trainer drives:
-// sample pi is a position into the shuffled permutation over idx.
-func (m *SysStateModel) step(windows []dataset.Window, idx []int) func(int) (float64, error) {
-	return func(pi int) (float64, error) {
-		w := windows[idx[pi]]
-		logPast := logSeq(w.Past)
-		xs := m.normIn.TransformSeq(logPast)
-		target := m.normOut.Transform(logVec(w.FutureMean))
-		h := m.enc.Encode(xs, true)
-		y := m.head.Forward(m.headInput(h, logPast), true)
-		loss, g := nn.MSELoss(y, target)
-		dh := m.head.Backward(g)
-		m.enc.BackwardFromLast(dh[:m.Cfg.Hidden].Clone())
-		return loss, nil
-	}
-}
-
 // Fit trains the model on the windows selected by trainIdx, sharding each
-// minibatch across Cfg.Workers replicas (sequentially for Workers ≤ 1).
+// minibatch across Cfg.Workers replicas (sequentially for Workers ≤ 1) and
+// running each shard as lockstep batches (batchStep).
 func (m *SysStateModel) Fit(windows []dataset.Window, trainIdx []int) error {
 	if len(trainIdx) == 0 {
 		return fmt.Errorf("models: empty training set")
@@ -160,11 +121,7 @@ func (m *SysStateModel) Fit(windows []dataset.Window, trainIdx []int) error {
 	idx := append([]int(nil), trainIdx...)
 	tr := nn.NewTrainer(nn.NewAdam(m.Cfg.LR), m.Cfg.Batch, m.Params())
 	register := func(rep *SysStateModel) {
-		if m.Cfg.Batched {
-			tr.AddBatchReplica(rep.Params(), rep.batchStep(windows, idx))
-		} else {
-			tr.AddReplica(rep.Params(), rep.step(windows, idx))
-		}
+		tr.AddBatchReplica(rep.Params(), rep.batchStep(windows, idx))
 	}
 	if W := trainWorkers(m.Cfg.Workers); W <= 1 {
 		register(m)

@@ -15,17 +15,16 @@ import (
 // to running the vector path on sample b alone, because the mathx batch
 // kernels accumulate in exactly the per-sample order of MulVec/MulVecT/
 // AddOuter and the element-wise code below is a verbatim port of the vector
-// code. Parameter gradients of feedforward layers are accumulated in sample
-// (row) order, so even multi-sample batched backward matches a sequential
-// sample loop bit for bit; the one documented exception is the lockstep
-// LSTM (lstm_batch.go), whose weight-gradient sum interleaves samples
-// within each timestep and therefore reassociates the floating-point sum —
-// the same caveat as the trainer's Workers ≥ 2 mode.
+// code. Parameter gradients are accumulated in sample (row) order, so even
+// multi-sample batched backward matches a sequential sample loop bit for
+// bit — the lockstep LSTM included (lstm_batch.go stages its per-step terms
+// to keep that order).
 //
 // Dropout draws its training masks as one stream in row order: sample b
 // consumes exactly the draws Forward would consume for it, provided each
-// Dropout layer owns a private rng (NonLinearBlock arranges this), so
-// batched and sequential training coincide bit for bit there too.
+// Dropout layer owns a private rng (NonLinearBlock and Sequential.Clone
+// arrange this), so batched and sequential training coincide bit for bit
+// there too.
 //
 // Scratch arenas. Every layer keeps its batched activations in matrices
 // resized with mathx.EnsureMatrix, keyed by the batch size: after the first

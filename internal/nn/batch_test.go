@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -110,13 +111,13 @@ func TestBatchBitIdentityFeedforward(t *testing.T) {
 	}
 }
 
-// TestBatchLSTMForwardBitIdentity: every hidden state of ForwardSeqBatch
-// must match per-sequence ForwardSeq bit for bit, and the batched input
-// gradients must match BackwardSeq per sequence.
+// TestBatchLSTMBitIdentityPerSample: every hidden state of ForwardSeqBatch
+// must match per-sequence ForwardSeq bit for bit, and the batched input and
+// weight gradients must match BackwardSeq run per sequence in row order.
 func TestBatchLSTMBitIdentityPerSample(t *testing.T) {
 	const B, T, in, H = 5, 6, 3, 4
 	rng := randutil.New(21)
-	seqL := NewLSTM(in, H, rng)
+	seqL := refLSTM(NewLSTM(in, H, rng))
 	batL := seqL.Clone(nil)
 
 	// Per-sequence inputs and the same data time-major for the batch.
@@ -181,25 +182,46 @@ func TestBatchLSTMBitIdentityPerSample(t *testing.T) {
 			}
 		}
 	}
-	// Weight gradients sum identical terms in lockstep order; require
-	// agreement up to floating-point reassociation.
-	sp, bp := seqL.Params(), batL.Params()
-	for i := range sp {
-		for j := range sp[i].G.Data {
-			a, c := sp[i].G.Data[j], bp[i].G.Data[j]
-			if relErr(a, c) > 1e-9 {
-				t.Fatalf("%s.G[%d]: sequential %v lockstep %v", sp[i].Name, j, a, c)
-			}
+	paramsBitEqual(t, "LSTM B=5", seqL.Params(), batL.Params())
+}
+
+// TestBatchLSTMGradsBitIdentical: a lockstep batch through a 2-layer
+// encoder leaves every weight and bias gradient bit-identical to per-sample
+// BPTT over the same sequences in row order — at batch sizes below, at and
+// above the GEMM kernels' 4- and 8-row blocks — so a batched fit is the
+// per-sample fit.
+func TestBatchLSTMGradsBitIdentical(t *testing.T) {
+	const T, in, H = 6, 7, 5
+	for _, B := range []int{2, 3, 5, 24} {
+		rng := randutil.New(int64(90 + B))
+		ref := refEncoder(NewSeqEncoder(in, H, 2, rng))
+		bat := ref.Clone(nil)
+		xs := make([]*mathx.Matrix, T)
+		for t2 := range xs {
+			xs[t2] = randBatch(rng, B, in)
 		}
+		dLast := randBatch(rng, B, H)
+
+		for b := 0; b < B; b++ {
+			seq := make([]mathx.Vector, T)
+			for t2 := range seq {
+				seq[t2] = xs[t2].Row(b).Clone()
+			}
+			ref.Encode(seq, true)
+			ref.BackwardFromLast(dLast.Row(b).Clone())
+		}
+		bat.EncodeBatch(xs, true)
+		bat.BackwardFromLastBatch(dLast)
+		paramsBitEqual(t, fmt.Sprintf("encoder B=%d", B), ref.Params(), bat.Params())
 	}
 }
 
-// TestBatchLSTMSingleSequenceGradsBitIdentical: at B=1 even the weight
-// gradient accumulation order coincides, so everything must be exact.
+// TestBatchLSTMSingleSequenceGradsBitIdentical: a batch of one with the
+// gradient at the last step only, the shape the encoders train with.
 func TestBatchLSTMSingleSequenceGradsBitIdentical(t *testing.T) {
 	const T, in, H = 5, 3, 4
 	rng := randutil.New(33)
-	seqL := NewLSTM(in, H, rng)
+	seqL := refLSTM(NewLSTM(in, H, rng))
 	batL := seqL.Clone(nil)
 	seq := make([]mathx.Vector, T)
 	xs := make([]*mathx.Matrix, T)
@@ -286,7 +308,7 @@ func TestBatchLSTMGradCheck(t *testing.T) {
 func TestSeqEncoderEncodeBatchBitIdentity(t *testing.T) {
 	const B, T, in, H = 4, 5, 3, 6
 	rng := randutil.New(55)
-	enc := NewSeqEncoder(in, H, 2, rng)
+	enc := refEncoder(NewSeqEncoder(in, H, 2, rng))
 	bat := enc.Clone(nil)
 
 	seqs := make([][]mathx.Vector, B)
@@ -381,9 +403,10 @@ func TestBackwardAfterInferenceForwardPanics(t *testing.T) {
 	enc.BackwardFromLastBatch(dLast) // re-armed: must not panic
 }
 
-// TestTrainerBatchReplicaBitIdentical: training a feedforward net through
-// AddBatchReplica must be bit-identical to AddReplica — batched gradients
-// accumulate in sample order, the optimizer sees identical sums.
+// TestTrainerBatchReplicaBitIdentical: a feedforward net trained through one
+// batched forward/backward per shard must be bit-identical to a per-sample
+// loop over the shard — batched gradients accumulate in sample order, the
+// optimizer sees identical sums.
 func TestTrainerBatchReplicaBitIdentical(t *testing.T) {
 	const in, out, n, epochs = 4, 2, 24, 3
 	build := func() (*Sequential, []*mathx.Matrix, []*mathx.Matrix) {
@@ -429,11 +452,15 @@ func TestTrainerBatchReplicaBitIdentical(t *testing.T) {
 				return total, nil
 			})
 		} else {
-			tr.AddReplica(net.Params(), func(s int) (float64, error) {
-				y := net.Forward(X[s].Row(0).Clone(), true)
-				l, g := MSELoss(y, Y[s].Row(0))
-				net.Backward(g)
-				return l, nil
+			tr.AddBatchReplica(net.Params(), func(shard []int) (float64, error) {
+				var total float64
+				for _, s := range shard {
+					y := net.Forward(X[s].Row(0).Clone(), true)
+					l, g := MSELoss(y, Y[s].Row(0))
+					net.Backward(g)
+					total += l
+				}
+				return total, nil
 			})
 		}
 		rng := randutil.New(3)
@@ -500,7 +527,7 @@ func BenchmarkLSTMForwardBatch(b *testing.B) {
 func BenchmarkLSTMForwardSeqLoop(b *testing.B) {
 	const B, T, in, H = 8, 12, 7, 32
 	rng := randutil.New(1)
-	l := NewLSTM(in, H, rng)
+	l := refLSTM(NewLSTM(in, H, rng))
 	seqs := make([][]mathx.Vector, B)
 	for s := range seqs {
 		seqs[s] = make([]mathx.Vector, T)

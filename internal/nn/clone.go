@@ -56,11 +56,14 @@ func (l *LayerNorm) Clone(_ *randutil.Source) Layer {
 	return &LayerNorm{Dim: l.Dim, Eps: l.Eps, gamma: cloneParam(l.gamma), beta: cloneParam(l.beta)}
 }
 
-// Clone implements Layer.
+// Clone implements Layer. Every layer draws from its own Split of rng, so
+// no two Dropout layers share a stream: their draws then depend only on
+// each layer's own sample order, never on how the layers' calls
+// interleave, and a batched replica draws the masks a per-sample one would.
 func (s *Sequential) Clone(rng *randutil.Source) Layer {
 	c := &Sequential{Layers: make([]Layer, len(s.Layers))}
 	for i, l := range s.Layers {
-		c.Layers[i] = l.Clone(rng)
+		c.Layers[i] = l.Clone(rng.Split(int64(i)))
 	}
 	return c
 }

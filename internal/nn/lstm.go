@@ -1,15 +1,13 @@
 package nn
 
 import (
-	"fmt"
-	"math"
-
 	"adrias/internal/mathx"
 	"adrias/internal/randutil"
 )
 
-// LSTM is a single Long Short-Term Memory layer processing a whole sequence
-// per call, with full backpropagation through time. Gates use the standard
+// LSTM is a single Long Short-Term Memory layer run over lockstep batches of
+// whole sequences (lstm_batch.go), with full backpropagation through time.
+// Gates use the standard
 // formulation:
 //
 //	i = σ(W_i·[x;h] + b_i)   f = σ(W_f·[x;h] + b_f)
@@ -22,17 +20,6 @@ type LSTM struct {
 	In, Hidden int
 	w          *Param // [4H × (I+H)]
 	b          *Param // [1 × 4H]
-
-	// Per-timestep caches from the last ForwardSeq (training mode only
-	// stores what backward needs; kept always for simplicity).
-	xs   []mathx.Vector // inputs
-	hs   []mathx.Vector // hidden states, hs[0] is the initial zero state
-	cs   []mathx.Vector // cell states, cs[0] initial
-	gi   []mathx.Vector // gate activations per step
-	gf   []mathx.Vector
-	gg   []mathx.Vector
-	go_  []mathx.Vector
-	tanc []mathx.Vector // tanh(c_t)
 
 	bat lstmBatch // lockstep-batch scratch arena (lstm_batch.go)
 }
@@ -54,118 +41,9 @@ func NewLSTM(in, hidden int, rng *randutil.Source) *LSTM {
 }
 
 // sigmoid is the clamped logistic function (see mathx.Sigmoid for the
-// clamp rationale); sharing one implementation keeps the sequential and
-// batched gate kernels bit-identical.
+// clamp rationale), shared with the per-sample reference the tests pin the
+// lockstep kernels against.
 func sigmoid(x float64) float64 { return mathx.Sigmoid(x) }
-
-// ForwardSeq runs the layer over a sequence (oldest first) and returns the
-// hidden state at every step.
-func (l *LSTM) ForwardSeq(xs []mathx.Vector, _ bool) []mathx.Vector {
-	T := len(xs)
-	if T == 0 {
-		panic("nn: LSTM.ForwardSeq on empty sequence")
-	}
-	H := l.Hidden
-	l.xs = make([]mathx.Vector, T)
-	l.hs = make([]mathx.Vector, T+1)
-	l.cs = make([]mathx.Vector, T+1)
-	l.gi = make([]mathx.Vector, T)
-	l.gf = make([]mathx.Vector, T)
-	l.gg = make([]mathx.Vector, T)
-	l.go_ = make([]mathx.Vector, T)
-	l.tanc = make([]mathx.Vector, T)
-	l.hs[0] = mathx.NewVector(H)
-	l.cs[0] = mathx.NewVector(H)
-
-	concat := mathx.NewVector(l.In + H)
-	z := mathx.NewVector(4 * H)
-	bias := l.b.W.Row(0)
-	out := make([]mathx.Vector, T)
-	for t := 0; t < T; t++ {
-		x := xs[t]
-		if len(x) != l.In {
-			panic(fmt.Sprintf("nn: LSTM expects %d inputs, got %d at step %d", l.In, len(x), t))
-		}
-		l.xs[t] = x.Clone()
-		copy(concat[:l.In], x)
-		copy(concat[l.In:], l.hs[t])
-		l.w.W.MulVec(z, concat)
-		z.Add(bias)
-
-		i := mathx.NewVector(H)
-		f := mathx.NewVector(H)
-		g := mathx.NewVector(H)
-		o := mathx.NewVector(H)
-		c := mathx.NewVector(H)
-		h := mathx.NewVector(H)
-		tc := mathx.NewVector(H)
-		for j := 0; j < H; j++ {
-			i[j] = sigmoid(z[j])
-			f[j] = sigmoid(z[H+j])
-			g[j] = math.Tanh(z[2*H+j])
-			o[j] = sigmoid(z[3*H+j])
-			c[j] = f[j]*l.cs[t][j] + i[j]*g[j]
-			tc[j] = math.Tanh(c[j])
-			h[j] = o[j] * tc[j]
-		}
-		l.gi[t], l.gf[t], l.gg[t], l.go_[t] = i, f, g, o
-		l.cs[t+1], l.hs[t+1], l.tanc[t] = c, h, tc
-		out[t] = h.Clone()
-	}
-	return out
-}
-
-// BackwardSeq backpropagates the per-step hidden-state gradients dhs
-// (index-aligned with the ForwardSeq output; entries may be nil for steps
-// with no gradient) and returns the gradient with respect to each input.
-func (l *LSTM) BackwardSeq(dhs []mathx.Vector) []mathx.Vector {
-	if l.xs == nil {
-		panic("nn: LSTM.BackwardSeq before ForwardSeq")
-	}
-	T := len(l.xs)
-	if len(dhs) != T {
-		panic(fmt.Sprintf("nn: LSTM gradient length %d, want %d", len(dhs), T))
-	}
-	H := l.Hidden
-	dxs := make([]mathx.Vector, T)
-	dhNext := mathx.NewVector(H)
-	dcNext := mathx.NewVector(H)
-	da := mathx.NewVector(4 * H)
-	concat := mathx.NewVector(l.In + H)
-	dconcat := mathx.NewVector(l.In + H)
-
-	for t := T - 1; t >= 0; t-- {
-		dh := dhNext.Clone()
-		if dhs[t] != nil {
-			dh.Add(dhs[t])
-		}
-		i, f, g, o := l.gi[t], l.gf[t], l.gg[t], l.go_[t]
-		tc := l.tanc[t]
-		dc := dcNext.Clone()
-		for j := 0; j < H; j++ {
-			dc[j] += dh[j] * o[j] * (1 - tc[j]*tc[j])
-			do := dh[j] * tc[j]
-			di := dc[j] * g[j]
-			df := dc[j] * l.cs[t][j]
-			dg := dc[j] * i[j]
-			da[j] = di * i[j] * (1 - i[j])
-			da[H+j] = df * f[j] * (1 - f[j])
-			da[2*H+j] = dg * (1 - g[j]*g[j])
-			da[3*H+j] = do * o[j] * (1 - o[j])
-		}
-		copy(concat[:l.In], l.xs[t])
-		copy(concat[l.In:], l.hs[t])
-		l.w.G.AddOuter(1, da, concat)
-		l.b.G.Row(0).Add(da)
-		l.w.W.MulVecT(dconcat, da)
-		dxs[t] = mathx.Vector(dconcat[:l.In]).Clone()
-		copy(dhNext, dconcat[l.In:])
-		for j := 0; j < H; j++ {
-			dcNext[j] = dc[j] * f[j]
-		}
-	}
-	return dxs
-}
 
 // Params implements the parameter provider.
 func (l *LSTM) Params() []*Param { return []*Param{l.w, l.b} }
@@ -194,27 +72,6 @@ func NewSeqEncoder(in, hidden, depth int, rng *randutil.Source) *SeqEncoder {
 		e.Layers = append(e.Layers, NewLSTM(dim, hidden, rng))
 	}
 	return e
-}
-
-// Encode runs the stack and returns the top layer's final hidden state.
-func (e *SeqEncoder) Encode(xs []mathx.Vector, train bool) mathx.Vector {
-	e.lastT = len(xs)
-	for _, l := range e.Layers {
-		xs = l.ForwardSeq(xs, train)
-	}
-	return xs[len(xs)-1].Clone()
-}
-
-// BackwardFromLast backpropagates a gradient on the final hidden state
-// through the stack. The gradient with respect to the inputs is discarded
-// (the sequence inputs are data, not parameters).
-func (e *SeqEncoder) BackwardFromLast(dLast mathx.Vector) {
-	dhs := make([]mathx.Vector, e.lastT)
-	dhs[e.lastT-1] = dLast
-	for i := len(e.Layers) - 1; i >= 0; i-- {
-		dxs := e.Layers[i].BackwardSeq(dhs)
-		dhs = dxs
-	}
 }
 
 // Params returns all stack parameters.

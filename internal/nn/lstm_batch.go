@@ -13,14 +13,16 @@ import (
 //
 // Bit-identity: every per-sample quantity — hidden states, cell states,
 // gate activations, input gradients — is computed by a verbatim port of
-// the sequential kernels over row b only, so row b of every batched result
-// equals ForwardSeq/BackwardSeq on sequence b alone, bit for bit. The one
-// reassociation is the weight/bias gradient sum in BackwardSeqBatch: the
-// sequential path folds in (sample 0: t=T-1..0), (sample 1: t=T-1..0), …,
-// while the lockstep path folds in (t=T-1: samples 0..B-1), (t=T-2: …), ….
-// Each term is bit-identical; only the order of the floating-point sum
-// differs (at B=1 even that coincides). This is the same contract as the
-// trainer's Workers ≥ 2 gradient reduction.
+// per-sample BPTT over row b only, so row b of every batched result equals
+// running sequence b alone, bit for bit. The weight and bias gradients are
+// too: per-sample BPTT folds its terms in as (sample 0: t=T-1..0),
+// (sample 1: t=T-1..0), …, so BackwardSeqBatch does not fold them in per
+// timestep (that order, t-major, would reassociate the sum). It stages each
+// step's gate gradients and [x;h] inputs at row b·T+(T−1−t) of two arena
+// matrices and accumulates them after the time loop with one AddMulTN and
+// one AccumRows, which walk rows in exactly that sample-major order. A
+// batch of B sequences therefore leaves the gradients B per-sample backward
+// passes in row order would.
 
 // lstmBatch is the LSTM's lockstep scratch arena.
 type lstmBatch struct {
@@ -46,6 +48,9 @@ type lstmBatch struct {
 	da                     *mathx.Matrix   // [B×4H]
 	dconcat                *mathx.Matrix   // [B×(I+H)]
 	dxs                    []*mathx.Matrix // [B×I]
+	// Weight-gradient staging, row b·T+(T−1−t) = sample b at step t.
+	daAll  *mathx.Matrix // [B·T×4H] gate gradients
+	catAll *mathx.Matrix // [B·T×(I+H)] step inputs [x;h]
 }
 
 // ForwardSeqBatch runs B sequences in lockstep: xs[t] holds the step-t
@@ -53,7 +58,7 @@ type lstmBatch struct {
 // every step ([B×H] per step, rows aligned with the input rows). The
 // returned matrices are arena-owned: valid until the next batched call on
 // this layer, not to be mutated. Row b of every step is bit-identical to
-// ForwardSeq on sequence b alone. With train=false the input copies and the
+// running sequence b alone. With train=false the input copies and the
 // gate activations only BackwardSeqBatch reads are not kept, and a backward
 // pass panics until the next training forward.
 func (l *LSTM) ForwardSeqBatch(xs []*mathx.Matrix, train bool) []*mathx.Matrix {
@@ -120,9 +125,9 @@ func (l *LSTM) ForwardSeqBatch(xs []*mathx.Matrix, train bool) []*mathx.Matrix {
 // BackwardSeqBatch backpropagates per-step batched hidden-state gradients
 // (index-aligned with the ForwardSeqBatch output; entries may be nil for
 // steps with no gradient) and returns the gradient with respect to each
-// step's input, arena-owned. Input gradients are bit-identical per sample
-// to BackwardSeq; weight gradients sum the identical per-(sample, step)
-// terms in lockstep order (see the file comment).
+// step's input, arena-owned. Input gradients are bit-identical per sample,
+// and weight gradients accumulate in per-sample BPTT order (see the file
+// comment), so the call equals B per-sample backward passes in row order.
 func (l *LSTM) BackwardSeqBatch(dhs []*mathx.Matrix) []*mathx.Matrix {
 	s := &l.bat
 	if s.T == 0 {
@@ -142,6 +147,8 @@ func (l *LSTM) BackwardSeqBatch(dhs []*mathx.Matrix) []*mathx.Matrix {
 	s.da = mathx.EnsureMatrix(s.da, B, 4*H)
 	s.dconcat = mathx.EnsureMatrix(s.dconcat, B, l.In+H)
 	s.dxs = mathx.EnsureMatrices(s.dxs, T, B, l.In)
+	s.daAll = mathx.EnsureMatrix(s.daAll, B*T, 4*H)
+	s.catAll = mathx.EnsureMatrix(s.catAll, B*T, l.In+H)
 	s.dhNext.Zero()
 	s.dcNext.Zero()
 
@@ -166,12 +173,12 @@ func (l *LSTM) BackwardSeqBatch(dhs []*mathx.Matrix) []*mathx.Matrix {
 				da[2*H+j] = dg * (1 - g[j]*g[j])
 				da[3*H+j] = do * o[j] * (1 - o[j])
 			}
-			crow := s.concat.Row(b)
+			r := b*T + T - 1 - t
+			copy(s.daAll.Row(r), da)
+			crow := s.catAll.Row(r)
 			copy(crow[:l.In], s.xs[t].Row(b))
 			copy(crow[l.In:], s.hs[t].Row(b))
 		}
-		mathx.AddMulTN(l.w.G, 1, s.da, s.concat) // sample-ordered AddOuter
-		mathx.AccumRows(l.b.G.Row(0), s.da)
 		mathx.MulNN(s.dconcat, s.da, l.w.W) // MulVecT per row
 		for b := 0; b < B; b++ {
 			crow := s.dconcat.Row(b)
@@ -183,13 +190,15 @@ func (l *LSTM) BackwardSeqBatch(dhs []*mathx.Matrix) []*mathx.Matrix {
 			}
 		}
 	}
+	mathx.AddMulTN(l.w.G, 1, s.daAll, s.catAll) // AddOuter per row, in row order
+	mathx.AccumRows(l.b.G.Row(0), s.daAll)
 	return s.dxs
 }
 
 // EncodeBatch runs the stack over a lockstep batch (xs[t] is the [B×In]
 // step-t input of every sequence) and returns the top layer's final hidden
 // state, one row per sequence. The result is arena-owned by the top LSTM:
-// valid until its next batched call. Row b is bit-identical to Encode on
+// valid until its next batched call. Row b is bit-identical to encoding
 // sequence b alone.
 func (e *SeqEncoder) EncodeBatch(xs []*mathx.Matrix, train bool) *mathx.Matrix {
 	e.lastT = len(xs)
@@ -201,8 +210,8 @@ func (e *SeqEncoder) EncodeBatch(xs []*mathx.Matrix, train bool) *mathx.Matrix {
 
 // BackwardFromLastBatch backpropagates a batched gradient on the final
 // hidden state (rows = sequences) through the stack, accumulating weight
-// gradients. The gradient with respect to the inputs is discarded, as in
-// BackwardFromLast.
+// gradients in per-sample order. The gradient with respect to the inputs is
+// discarded (the sequence inputs are data, not parameters).
 func (e *SeqEncoder) BackwardFromLastBatch(dLast *mathx.Matrix) {
 	if e.Layers[len(e.Layers)-1].bat.inference {
 		panic("nn: SeqEncoder.BackwardFromLastBatch: backward after inference forward")

@@ -5,13 +5,15 @@
 //
 // The library trades generality for clarity: there is no autodiff graph.
 // Each layer implements an explicit Forward/Backward pair and caches the
-// activations of the most recent forward pass. Two execution modes share
-// the same parameters: the vector path processes one sample per call, and
-// the batched path (ForwardBatch/BackwardBatch, ForwardSeqBatch for LSTMs)
+// activations of the most recent forward pass. Feedforward layers have two
+// execution modes over the same parameters: the vector path processes one
+// sample per call, and the batched path (ForwardBatch/BackwardBatch)
 // processes a whole minibatch as the rows of a matrix — one GEMM per layer
-// (per timestep, for LSTMs) instead of one GEMV per sample, with scratch
-// arenas keyed by batch size so steady-state inference is allocation-free
-// and per-sample results bit-identical to the vector path (batch.go).
+// instead of one GEMV per sample, with scratch arenas keyed by batch size so
+// steady-state inference is allocation-free and per-sample results
+// bit-identical to the vector path (batch.go). LSTMs run only batched
+// (ForwardSeqBatch/BackwardSeqBatch: one GEMM per timestep), with outputs
+// and gradients bit-identical to per-sample BPTT (lstm_batch.go).
 // Layers are still not safe for concurrent use; every layer supports
 // Clone, and the Trainer uses per-goroutine clones to shard minibatches
 // across a worker pool with a deterministic, ordered gradient reduction

@@ -218,7 +218,7 @@ func TestSequentialGradCheck(t *testing.T) {
 
 func TestLSTMGradCheck(t *testing.T) {
 	rng := randutil.New(8)
-	l := NewLSTM(3, 4, rng)
+	l := refLSTM(NewLSTM(3, 4, rng))
 	xs := []mathx.Vector{
 		{0.5, -0.2, 0.1},
 		{-0.3, 0.8, 0.4},
@@ -258,7 +258,7 @@ func TestLSTMGradCheck(t *testing.T) {
 func TestLSTMGradCheckMidSequenceGradient(t *testing.T) {
 	// Gradients injected at a middle step must also check out.
 	rng := randutil.New(9)
-	l := NewLSTM(2, 3, rng)
+	l := refLSTM(NewLSTM(2, 3, rng))
 	xs := []mathx.Vector{{0.1, 0.2}, {-0.5, 0.4}, {0.3, -0.3}}
 	target := mathx.Vector{0.5, 0, -0.5}
 	loss := func() float64 {
@@ -283,7 +283,7 @@ func TestLSTMGradCheckMidSequenceGradient(t *testing.T) {
 
 func TestSeqEncoderGradCheck(t *testing.T) {
 	rng := randutil.New(10)
-	e := NewSeqEncoder(2, 3, 2, rng)
+	e := refEncoder(NewSeqEncoder(2, 3, 2, rng))
 	xs := []mathx.Vector{{0.4, -0.1}, {0.2, 0.6}, {-0.5, 0.3}}
 	target := mathx.Vector{0.1, -0.2, 0.3}
 	loss := func() float64 {
@@ -426,7 +426,7 @@ func TestLSTMEmptySequencePanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewLSTM(1, 1, randutil.New(1)).ForwardSeq(nil, false)
+	NewLSTM(1, 1, randutil.New(1)).ForwardSeqBatch(nil, false)
 }
 
 // A tiny end-to-end training sanity check: a 2-layer net learns XOR-ish
@@ -468,7 +468,7 @@ func TestTrainingLearnsSimpleFunction(t *testing.T) {
 // LSTM can learn to remember: output last step's first input element.
 func TestLSTMLearnsMemoryTask(t *testing.T) {
 	rng := randutil.New(15)
-	enc := NewSeqEncoder(1, 8, 1, rng)
+	enc := refEncoder(NewSeqEncoder(1, 8, 1, rng))
 	head := NewDense(8, 1, rng)
 	params := append(enc.Params(), head.Params()...)
 	opt := NewAdam(0.02)

@@ -10,8 +10,8 @@ import (
 // shards each minibatch across registered model replicas, one per worker
 // goroutine:
 //
-//  1. each worker runs forward/backward for a contiguous shard of the
-//     (already shuffled) minibatch, accumulating gradients into its
+//  1. each worker runs one batched forward/backward over a contiguous shard
+//     of the (already shuffled) minibatch, accumulating gradients into its
 //     replica's parameters;
 //  2. the shard gradients are reduced into the master parameters in
 //     replica order — a deterministic reduction, so a fixed (seed,
@@ -20,11 +20,13 @@ import (
 //  4. the updated master weights are broadcast back to every replica.
 //
 // With a single replica whose parameters alias the master set, steps 2 and
-// 4 vanish and Epoch degenerates to the plain sequential loop — bit-for-bit
-// identical to training without the Trainer. Across different worker
-// counts the per-sample gradients are summed in a different association
-// order, so results agree only up to floating-point rounding (and up to
-// dropout-mask divergence when dropout is active).
+// 4 vanish and Epoch degenerates to the plain loop over minibatches. The
+// batched layers accumulate gradients in sample order (lstm_batch.go,
+// batch.go), so a shard step equals a per-sample loop over the shard bit
+// for bit. Across different worker counts the per-sample gradients are
+// summed in a different association order, so results agree only up to
+// floating-point rounding (and up to dropout-mask divergence when dropout is
+// active).
 type Trainer struct {
 	// Opt steps the master parameters once per minibatch.
 	Opt Optimizer
@@ -36,43 +38,25 @@ type Trainer struct {
 }
 
 // trainReplica is one worker's model copy: its parameter set (index-aligned
-// with the master's) and either a per-sample forward/backward step or a
-// batched step that consumes its whole shard at once (exactly one is set).
+// with the master's) and the step that consumes its shard.
 type trainReplica struct {
 	params []*Param
-	step   func(sample int) (float64, error)
 	batch  func(shard []int) (float64, error)
 }
 
 // NewTrainer builds a Trainer for the given master parameters. Register at
-// least one replica with AddReplica before calling Epoch.
+// least one replica with AddBatchReplica before calling Epoch.
 func NewTrainer(opt Optimizer, batch int, master []*Param) *Trainer {
 	return &Trainer{Opt: opt, Batch: batch, master: master}
 }
 
-// AddReplica registers one worker's model copy. step must run
-// forward/backward for one sample on that replica, accumulating gradients
-// into params, and return the sample loss. params must be index-aligned
-// with the master set. A single replica may alias the master parameters
-// (the sequential fast path); with two or more, every replica must be an
-// independent clone, or gradients would be double-counted.
-func (t *Trainer) AddReplica(params []*Param, step func(sample int) (float64, error)) {
-	if len(params) != len(t.master) {
-		panic(fmt.Sprintf("nn: replica has %d params, master %d", len(params), len(t.master)))
-	}
-	t.replicas = append(t.replicas, trainReplica{params: params, step: step})
-}
-
-// AddBatchReplica registers a worker's model copy driven in batched-step
-// mode: step receives the replica's whole shard of sample indices per
-// minibatch and must run one batched forward/backward over it, accumulating
-// gradients into params and returning the summed per-sample loss. Models
-// whose layers implement the batched path use this to turn a shard into one
-// GEMM pipeline instead of per-sample GEMVs. Feedforward nets accumulate
-// batched gradients in sample order (bit-identical to AddReplica); nets
-// with LSTM encoders reassociate the weight-gradient sum across samples
-// within each timestep — the same reproducibility caveat as using two or
-// more workers.
+// AddBatchReplica registers one worker's model copy: step receives the
+// replica's whole shard of sample indices per minibatch and must run one
+// batched forward/backward over it, accumulating gradients into params in
+// shard order and returning the summed per-sample loss. params must be
+// index-aligned with the master set. A single replica may alias the master
+// parameters (the sequential fast path); with two or more, every replica
+// must be an independent clone, or gradients would be double-counted.
 func (t *Trainer) AddBatchReplica(params []*Param, step func(shard []int) (float64, error)) {
 	if len(params) != len(t.master) {
 		panic(fmt.Sprintf("nn: replica has %d params, master %d", len(params), len(t.master)))
@@ -119,18 +103,7 @@ func (t *Trainer) runChunk(chunk []int) (float64, error) {
 	if len(t.replicas) == 1 {
 		// Sequential fast path: gradients go straight into the (aliased)
 		// master parameters, exactly as a hand-written loop would.
-		if t.replicas[0].batch != nil {
-			return t.replicas[0].batch(chunk)
-		}
-		var total float64
-		for _, s := range chunk {
-			l, err := t.replicas[0].step(s)
-			if err != nil {
-				return total, err
-			}
-			total += l
-		}
-		return total, nil
+		return t.replicas[0].batch(chunk)
 	}
 	W := len(t.replicas)
 	losses := make([]float64, W)
@@ -145,18 +118,7 @@ func (t *Trainer) runChunk(chunk []int) (float64, error) {
 		wg.Add(1)
 		go func(w int, shard []int) {
 			defer wg.Done()
-			if t.replicas[w].batch != nil {
-				losses[w], errs[w] = t.replicas[w].batch(shard)
-				return
-			}
-			for _, s := range shard {
-				l, err := t.replicas[w].step(s)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				losses[w] += l
-			}
+			losses[w], errs[w] = t.replicas[w].batch(shard)
 		}(w, chunk[lo:hi])
 	}
 	wg.Wait()

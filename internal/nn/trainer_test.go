@@ -38,12 +38,17 @@ func trainerData(n int, seed int64) (xs, ys []mathx.Vector) {
 	return xs, ys
 }
 
-// netStep is the per-sample forward/backward closure for one replica.
-func netStep(net *Sequential, xs, ys []mathx.Vector) func(int) (float64, error) {
-	return func(i int) (float64, error) {
-		loss, g := MSELoss(net.Forward(xs[i], true), ys[i])
-		net.Backward(g)
-		return loss, nil
+// netStep is one replica's shard closure: a per-sample forward/backward
+// loop over the shard.
+func netStep(net *Sequential, xs, ys []mathx.Vector) func([]int) (float64, error) {
+	return func(shard []int) (float64, error) {
+		var total float64
+		for _, i := range shard {
+			loss, g := MSELoss(net.Forward(xs[i], true), ys[i])
+			net.Backward(g)
+			total += loss
+		}
+		return total, nil
 	}
 }
 
@@ -54,12 +59,12 @@ func fitWithTrainer(t testing.TB, workers, epochs int, xs, ys []mathx.Vector) *S
 	net := trainerNet(41)
 	tr := NewTrainer(NewAdam(1e-2), 16, net.Params())
 	if workers <= 1 {
-		tr.AddReplica(net.Params(), netStep(net, xs, ys))
+		tr.AddBatchReplica(net.Params(), netStep(net, xs, ys))
 	} else {
 		crng := randutil.New(99)
 		for w := 0; w < workers; w++ {
 			rep := net.CloneSeq(crng.Split(int64(w)))
-			tr.AddReplica(rep.Params(), netStep(rep, xs, ys))
+			tr.AddBatchReplica(rep.Params(), netStep(rep, xs, ys))
 		}
 	}
 	rng := randutil.New(7)
@@ -208,11 +213,11 @@ func TestCloneReplicaIndependence(t *testing.T) {
 // TestSeqEncoderCloneIndependence: the LSTM stack clone must be deep.
 func TestSeqEncoderCloneIndependence(t *testing.T) {
 	rng := randutil.New(9)
-	enc := NewSeqEncoder(4, 6, 2, rng)
+	enc := refEncoder(NewSeqEncoder(4, 6, 2, rng))
 	seq := []mathx.Vector{{1, 2, 3, 4}, {0.5, -1, 2, 0}, {0, 1, 0, -1}}
 	want := enc.Encode(seq, false).Clone()
 
-	clone := enc.Clone(nil)
+	clone := refEncoder(enc.Clone(nil))
 	got := clone.Encode(seq, false)
 	for j := range want {
 		if want[j] != got[j] {
@@ -270,9 +275,12 @@ func TestSigmoidExtremeInputs(t *testing.T) {
 	// A full LSTM step fed huge activations must stay finite too.
 	rng := randutil.New(3)
 	l := NewLSTM(2, 3, rng)
-	out := l.ForwardSeq([]mathx.Vector{{1e3, -1e3}, {1e6, 1e6}}, false)
+	out := l.ForwardSeqBatch([]*mathx.Matrix{
+		{Rows: 1, Cols: 2, Data: []float64{1e3, -1e3}},
+		{Rows: 1, Cols: 2, Data: []float64{1e6, 1e6}},
+	}, false)
 	for _, h := range out {
-		for _, v := range h {
+		for _, v := range h.Data {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("LSTM output not finite under extreme inputs: %v", out)
 			}

@@ -9,6 +9,9 @@ package scenario
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"adrias/internal/cluster"
 	"adrias/internal/memsys"
@@ -214,16 +217,36 @@ func (s CorpusSpec) Configs() []Config {
 }
 
 // RunCorpus executes every scenario in the spec and returns the results in
-// order. decide may be nil for random placement (the trace-collection mode).
+// order. decide may be nil for random placement (the trace-collection mode);
+// then the scenarios run on up to GOMAXPROCS goroutines. Each owns its
+// testbed and random streams and writes its result by index, so the output
+// does not depend on the schedule. A caller's Decider may keep state across
+// scenarios, so with one they run one at a time, in order. On error the
+// results before the first failing scenario are returned with its error.
 func RunCorpus(spec CorpusSpec, reg *workload.Registry, decide Decider) ([]Result, error) {
 	cfgs := spec.Configs()
-	out := make([]Result, 0, len(cfgs))
-	for _, cfg := range cfgs {
-		r, err := Run(cfg, reg, decide)
+	out := make([]Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	workers := 1
+	if decide == nil {
+		workers = min(runtime.GOMAXPROCS(0), len(cfgs))
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(cfgs); i = int(next.Add(1) - 1) {
+				out[i], errs[i] = Run(cfgs[i], reg, decide)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			return out, fmt.Errorf("scenario seed %d: %w", cfg.Seed, err)
+			return out[:i], fmt.Errorf("scenario seed %d: %w", cfgs[i].Seed, err)
 		}
-		out = append(out, r)
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"adrias/internal/cluster"
@@ -210,6 +212,47 @@ func TestRunCorpusSmall(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunCorpusMatchesSerialRuns: the concurrent corpus is the serial one —
+// every result equal to running its config alone, in config order — and a
+// failing scenario returns exactly the results before it.
+func TestRunCorpusMatchesSerialRuns(t *testing.T) {
+	spec := CorpusSpec{
+		BaseSeed:    70,
+		DurationSec: 150,
+		SpawnMin:    5,
+		SpawnMaxes:  []float64{15, 40},
+		SeedsPer:    3,
+		IBenchShare: 0.35,
+		KeepHistory: true,
+	}
+	got, err := RunCorpus(spec, registry, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := spec.Configs()
+	if len(got) != len(cfgs) {
+		t.Fatalf("corpus results = %d, want %d", len(got), len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		want, err := Run(cfg, registry, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("scenario %d (seed %d) differs from its serial run", i, cfg.Seed)
+		}
+	}
+
+	spec.SpawnMaxes = []float64{15, 3, 40} // the second setting is invalid
+	partial, err := RunCorpus(spec, registry, nil)
+	if err == nil || !strings.Contains(err.Error(), "scenario seed 73") {
+		t.Fatalf("error = %v, want the first invalid scenario (seed 73)", err)
+	}
+	if len(partial) != spec.SeedsPer || !reflect.DeepEqual(partial, got[:spec.SeedsPer]) {
+		t.Errorf("returned %d results, want the %d before the failure", len(partial), spec.SeedsPer)
 	}
 }
 

@@ -44,6 +44,12 @@
 # recorded as decide_single_us / serve_float_b8_us / serve_quant_b8_us (a
 # 50-iteration single run of a 50 µs operation is mostly warm-up).
 #
+# The offline training phase every server boot runs (BenchmarkTrainFast:
+# adrias.Train(FastOptions()), at the box's full core count) also runs six
+# times, one iteration each; its median and spread are recorded as
+# train_fast_s / train_fast_s_spread and its worst allocation count as
+# train_fast_allocs — recorded, not gated.
+#
 # The serve hot-path benchmarks move the monitoring window before every batch,
 # so the gates above keep measuring inference, not the per-window prediction
 # memo. Their ...Warm twins (window left alone, every query a memo hit) run
@@ -85,6 +91,10 @@ go test -run='^$' -cpu=1 -benchtime=2000x -count=6 \
 go test -run='^$' -cpu=1 -benchtime=2000x -count=6 \
   -bench='^(BenchmarkServeHotPathFloatB8|BenchmarkServeHotPathQuantB8)$' \
   ./internal/serve | tee -a "$med_txt"
+
+echo "== bench-gate: offline training, median of 6 (all cores, 1x) =="
+go test -run='^$' -benchtime=1x -count=6 \
+  -bench='^BenchmarkTrainFast$' . | tee -a "$med_txt"
 
 echo "== bench-gate: sharded placement throughput (replicas 1/2/4, -cpu=4) =="
 go test -run='^$' -cpu=4 -benchtime="$BENCHTIME" \
@@ -179,6 +189,12 @@ END {
   printf "  \"serve_quant_b8_us\": %s,\n", m > out
   printf "  \"serve_quant_b8_us_spread\": [%s, %s],\n", lo_us, hi_us > out
   printf "  \"median_runs\": %d,\n", mc["BenchmarkDecideSingleMiss"] > out
+  m = median_us("BenchmarkTrainFast")
+  printf "  \"train_fast_s\": %s,\n", (m == "null") ? "null" : sprintf("%.3f", m / 1e6) > out
+  printf "  \"train_fast_s_spread\": [%s, %s],\n", (lo_us == "null") ? "null" : sprintf("%.3f", lo_us / 1e6), \
+    (hi_us == "null") ? "null" : sprintf("%.3f", hi_us / 1e6) > out
+  tfa = ("BenchmarkTrainFast" in ma) ? ma["BenchmarkTrainFast"] : "null"
+  printf "  \"train_fast_allocs\": %s,\n", tfa > out
 
   qe = ns["BenchmarkServeHotPathQuantB8Events"]
   events_overhead = (qs != "null" && qe != "null" && qs + 0 > 0) ? qe / qs : 0
