@@ -71,3 +71,32 @@ func BenchmarkDecideSingleMiss(b *testing.B) {
 		f.decide(b)
 	}
 }
+
+// BenchmarkReplayPair times the scenario replay's unit of work: one held-out
+// 900 s scenario run all-local and then under Adrias β = 0.8 with its
+// signature-capture hook wired, both behind the replay's seeded random
+// interference placement. The bench gate records it as replay_pair_ms.
+func BenchmarkReplayPair(b *testing.B) {
+	sys := system(b)
+	orch := sys.Orchestrator(0.8)
+	for _, p := range sys.Registry.LC() {
+		orch.QoSMs[p.Name] = p.BaseP50Ms * 20
+	}
+	const seed = 100100
+	cfg := ScenarioConfig{
+		Seed: seed, DurationSec: 900, SpawnMin: 5, SpawnMax: 30,
+		IBenchShare: 0.35, KeepHistory: true,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.OnComplete = nil
+		if _, err := sys.RunScenario(cfg, WithRandomInterference(core.AllLocal{}, seed^0xfeed)); err != nil {
+			b.Fatal(err)
+		}
+		cfg.OnComplete = orch.OnComplete
+		if _, err := sys.RunScenario(cfg, WithRandomInterference(orch, seed^0xfeed)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -160,21 +160,24 @@ func gemv(dst, w, x []float64) {
 // MulVecT applied row-wise (the batched backward dX = dY·W, where MulVecT's
 // dx = Wᵀ·dy transposes to a row-times-matrix product). dst must not alias
 // a or b.
-func MulNN(dst, a, b *Matrix) {
+func MulNN(dst, a, b *Matrix) { MulNNFrom(dst, a, b, 0) }
+
+// MulNNFrom is MulNN over the columns from onward only: dst[:, from:] =
+// a·b[:, from:], every element summed as MulNN sums it, and dst[:, :from]
+// left as it was.
+func MulNNFrom(dst, a, b *Matrix, from int) {
 	checkLen(a.Cols, b.Rows)
 	checkLen(dst.Rows, a.Rows)
 	checkLen(dst.Cols, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := range drow {
-			drow[j] = 0
-		}
+		drow := dst.Data[i*dst.Cols+from : (i+1)*dst.Cols]
+		clear(drow)
 		for k, x := range arow {
 			if x == 0 {
 				continue
 			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			brow := b.Data[k*b.Cols+from : (k+1)*b.Cols]
 			for j, y := range brow {
 				drow[j] += x * y
 			}

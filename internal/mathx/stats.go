@@ -90,7 +90,7 @@ func Percentile(v Vector, p float64) float64 {
 	if len(v) == 0 {
 		panic("mathx: Percentile of empty vector")
 	}
-	o := newOrderStats(v)
+	o := newOrderStats(v, p)
 	return o.percentile(p, nil)
 }
 
@@ -104,7 +104,7 @@ func PercentileSorted(v Vector, p float64) float64 {
 }
 
 func percentileSorted(s Vector, p float64) float64 {
-	o := orderStats{s: s, from: len(s)} // every rank already in place
+	o := orderStats{s: s, n: len(s), from: len(s)} // every rank already in place
 	return o.percentile(p, nil)
 }
 
@@ -118,10 +118,15 @@ func Quantiles(v Vector, ps ...float64) Vector { return QuantilesMapped(v, nil, 
 // element of v, for a non-decreasing f, calling f only on the order
 // statistics read (rank k of v maps to rank k of the images). A nil f is the
 // identity. The copy is partitioned in ascending order of p, so each
-// percentile orders only what lies above the one before it.
+// percentile orders only what lies above the one before it, and it holds
+// only the upper tail when every p is high (see newOrderStats).
 func QuantilesMapped(v Vector, f func(float64) float64, ps ...float64) Vector {
 	if len(v) == 0 {
 		panic("mathx: Quantiles of empty vector")
+	}
+	out := make(Vector, len(ps))
+	if len(ps) == 0 {
+		return out
 	}
 	order := make([]int, len(ps))
 	for i := range order {
@@ -131,23 +136,41 @@ func QuantilesMapped(v Vector, f func(float64) float64, ps ...float64) Vector {
 		}
 		order[j] = i
 	}
-	o := newOrderStats(v)
-	out := make(Vector, len(ps))
+	o := newOrderStats(v, ps[order[0]])
 	for _, i := range order {
 		out[i] = o.percentile(ps[i], f)
 	}
 	return out
 }
 
-// orderStats reads order statistics off a private copy in ascending rank
-// order by selection: s[:from] holds the from smallest elements, those at
-// ranks already read in place. NaNs order first, as sort.Float64s has them.
+// orderStats reads order statistics of n elements in ascending rank order
+// by selection off a private copy of those of rank off and above: s[:from]
+// holds the from smallest of them, those at ranks already read in place.
+// NaNs order first, as sort.Float64s has them.
 type orderStats struct {
-	s    Vector
-	from int
+	s            Vector
+	n, off, from int
 }
 
-func newOrderStats(v Vector) orderStats {
+// The tail prefilter: on at least prefilterMinN elements, a strided sample of
+// prefilterSample of them picks a threshold prefilterSlack sample ranks below
+// the lowest rank to be read, and only the elements at or above it are
+// copied. It is used when that keeps at most 1/prefilterMaxShare of them.
+const (
+	prefilterMinN     = 2048
+	prefilterSample   = 256
+	prefilterSlack    = 8
+	prefilterMaxShare = 8
+)
+
+// newOrderStats copies what reading percentiles of pmin and above needs: the
+// elements at or above the prefilter's threshold, or, when the prefilter does
+// not apply, all of them. A NaN, or a threshold that would drop a rank to be
+// read, falls back to the full copy.
+func newOrderStats(v Vector, pmin float64) orderStats {
+	if o, ok := tailOrderStats(v, pmin); ok {
+		return o
+	}
 	s := v.Clone()
 	nan := 0
 	for i, x := range s {
@@ -156,11 +179,51 @@ func newOrderStats(v Vector) orderStats {
 			nan++
 		}
 	}
-	return orderStats{s: s, from: nan}
+	return orderStats{s: s, n: len(s), from: nan}
+}
+
+// tailOrderStats is the prefilter. Every element it drops is below the
+// threshold and every one it keeps is not, so the kept elements are exactly
+// those of rank off = n − kept and above.
+func tailOrderStats(v Vector, pmin float64) (orderStats, bool) {
+	n := len(v)
+	if n < prefilterMinN {
+		return orderStats{}, false
+	}
+	lo := int(math.Floor(math.Min(math.Max(pmin, 0), 100) / 100 * float64(n-1)))
+	j := lo*prefilterSample/n - prefilterSlack
+	if j < prefilterSample-prefilterSample/prefilterMaxShare {
+		return orderStats{}, false
+	}
+	var sample [prefilterSample]float64
+	stride := n / prefilterSample
+	for i := range sample {
+		x := v[i*stride]
+		if x != x {
+			return orderStats{}, false
+		}
+		sample[i] = x
+	}
+	selectRank(sample[:], j)
+	thr := sample[j]
+	keep := make(Vector, 0, 2*(prefilterSample-j)*(stride+1))
+	for _, x := range v {
+		if x >= thr {
+			keep = append(keep, x)
+		} else if x != x {
+			return orderStats{}, false
+		}
+	}
+	off := n - len(keep)
+	if off > lo {
+		return orderStats{}, false
+	}
+	return orderStats{s: keep, n: n, off: off}, true
 }
 
 // at returns the element of rank k; ranks must not decrease between calls.
 func (o *orderStats) at(k int) float64 {
+	k -= o.off
 	if k >= o.from {
 		selectRank(o.s[o.from:], k-o.from)
 		o.from = k + 1
@@ -171,7 +234,7 @@ func (o *orderStats) at(k int) float64 {
 // percentile interpolates linearly between the two ranks closest to the
 // p-th percentile of f's images (f nil: of the elements themselves).
 func (o *orderStats) percentile(p float64, f func(float64) float64) float64 {
-	rank := math.Min(math.Max(p, 0), 100) / 100 * float64(len(o.s)-1)
+	rank := math.Min(math.Max(p, 0), 100) / 100 * float64(o.n-1)
 	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
 	a := o.at(lo)
 	if f != nil {

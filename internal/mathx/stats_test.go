@@ -61,6 +61,72 @@ func TestPercentileMatchesSortReference(t *testing.T) {
 		checkAgainstSort(t, "ascending", asc)
 		checkAgainstSort(t, "descending", desc)
 	}
+	for _, n := range []int{prefilterMinN, 20000} {
+		for _, in := range tailInputs(rng, n) {
+			for _, p := range []float64{93.75, 99, 99.9, 100} {
+				if _, ok := tailOrderStats(in.v, p); p <= 99 && ok != in.prefiltered {
+					t.Errorf("%s n=%d p=%v: prefilter used %v, want %v", in.name, n, p, ok, in.prefiltered)
+				}
+				if got, want := Percentile(in.v, p), percentileBySort(in.v, p); !sameFloat(got, want) {
+					t.Errorf("%s n=%d: Percentile(%v) = %v, sort reference %v", in.name, n, p, got, want)
+				}
+			}
+			ps := []float64{99.9, 100, 93.75, 99}
+			for i, got := range Quantiles(in.v, ps...) {
+				if want := percentileBySort(in.v, ps[i]); !sameFloat(got, want) {
+					t.Errorf("%s n=%d: Quantiles[%v] = %v, sort reference %v", in.name, n, ps[i], got, want)
+				}
+			}
+		}
+	}
+	// One element short of the prefilter, and a percentile too low for it.
+	short := NewVector(prefilterMinN - 1)
+	for i := range short {
+		short[i] = math.Exp(rng.NormFloat64())
+	}
+	if _, ok := tailOrderStats(short, 99); ok {
+		t.Errorf("prefilter used on %d elements", len(short))
+	}
+	if _, ok := tailOrderStats(append(short, 1), 90); ok {
+		t.Errorf("prefilter used for p90")
+	}
+}
+
+// tailInput is an input to the tail prefilter, and whether the prefilter
+// should take it at p93.75 and p99 or fall back to the full copy. (Above
+// p99 so few ranks are read that even the fooled sample keeps them all.)
+type tailInput struct {
+	name        string
+	v           Vector
+	prefiltered bool
+}
+
+// tailInputs are the prefilter's cases at length n: a log-normal tail;
+// values on a coarse grid, so every rank read, the threshold among them,
+// has ties; all-equal; a NaN off the sampled positions, seen only by the
+// copying pass; and a sample that sees only the largest values, so the
+// threshold drops ranks to be read.
+func tailInputs(rng *rand.Rand, n int) []tailInput {
+	normal, grid, equal, nan, fooled := NewVector(n), NewVector(n), NewVector(n), NewVector(n), NewVector(n)
+	stride := n / prefilterSample
+	for i := 0; i < n; i++ {
+		normal[i] = math.Exp(rng.NormFloat64())
+		grid[i] = math.Floor(4*math.Exp(rng.NormFloat64())) / 4
+		equal[i] = 4.25
+		nan[i] = rng.NormFloat64()
+		fooled[i] = rng.Float64()
+		if i%stride == 0 {
+			fooled[i] += 1000
+		}
+	}
+	nan[stride+1] = math.NaN()
+	return []tailInput{
+		{"log-normal", normal, true},
+		{"tied-grid", grid, true},
+		{"all-equal", equal, true},
+		{"NaN-bearing", nan, false},
+		{"sample-fooled", fooled, false},
+	}
 }
 
 // sort.Float64s orders NaN before every number; the selection keeps that

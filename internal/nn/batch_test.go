@@ -196,6 +196,9 @@ func TestBatchLSTMGradsBitIdentical(t *testing.T) {
 		rng := randutil.New(int64(90 + B))
 		ref := refEncoder(NewSeqEncoder(in, H, 2, rng))
 		bat := ref.Clone(nil)
+		if !bat.Layers[0].noInputGrad || bat.Layers[1].noInputGrad {
+			t.Fatal("only the bottom layer of an encoder should skip its input gradient")
+		}
 		xs := make([]*mathx.Matrix, T)
 		for t2 := range xs {
 			xs[t2] = randBatch(rng, B, in)

@@ -76,7 +76,7 @@ func (s *Sequential) CloneSeq(rng *randutil.Source) *Sequential {
 
 // Clone returns a deep, independent copy of the LSTM layer.
 func (l *LSTM) Clone(_ *randutil.Source) *LSTM {
-	return &LSTM{In: l.In, Hidden: l.Hidden, w: cloneParam(l.w), b: cloneParam(l.b)}
+	return &LSTM{In: l.In, Hidden: l.Hidden, w: cloneParam(l.w), b: cloneParam(l.b), noInputGrad: l.noInputGrad}
 }
 
 // Clone returns a deep, independent copy of the encoder stack.

@@ -20,6 +20,10 @@ type LSTM struct {
 	In, Hidden int
 	w          *Param // [4H × (I+H)]
 	b          *Param // [1 × 4H]
+	// noInputGrad marks a layer whose input gradient nobody reads (the
+	// bottom of a SeqEncoder: its inputs are data). BackwardSeqBatch then
+	// computes only the recurrent part of the step gradient.
+	noInputGrad bool
 
 	bat lstmBatch // lockstep-batch scratch arena (lstm_batch.go)
 }
@@ -71,6 +75,7 @@ func NewSeqEncoder(in, hidden, depth int, rng *randutil.Source) *SeqEncoder {
 		}
 		e.Layers = append(e.Layers, NewLSTM(dim, hidden, rng))
 	}
+	e.Layers[0].noInputGrad = true
 	return e
 }
 

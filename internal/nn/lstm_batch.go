@@ -128,6 +128,8 @@ func (l *LSTM) ForwardSeqBatch(xs []*mathx.Matrix, train bool) []*mathx.Matrix {
 // step's input, arena-owned. Input gradients are bit-identical per sample,
 // and weight gradients accumulate in per-sample BPTT order (see the file
 // comment), so the call equals B per-sample backward passes in row order.
+// A layer marked noInputGrad skips the input gradient and returns nil; its
+// weight gradients are unchanged.
 func (l *LSTM) BackwardSeqBatch(dhs []*mathx.Matrix) []*mathx.Matrix {
 	s := &l.bat
 	if s.T == 0 {
@@ -146,7 +148,13 @@ func (l *LSTM) BackwardSeqBatch(dhs []*mathx.Matrix) []*mathx.Matrix {
 	s.dcNext = mathx.EnsureMatrix(s.dcNext, B, H)
 	s.da = mathx.EnsureMatrix(s.da, B, 4*H)
 	s.dconcat = mathx.EnsureMatrix(s.dconcat, B, l.In+H)
-	s.dxs = mathx.EnsureMatrices(s.dxs, T, B, l.In)
+	// dconcat is computed from column from on: all of it, or only the
+	// recurrent part when nobody reads the input gradient.
+	from := l.In
+	if !l.noInputGrad {
+		from = 0
+		s.dxs = mathx.EnsureMatrices(s.dxs, T, B, l.In)
+	}
 	s.daAll = mathx.EnsureMatrix(s.daAll, B*T, 4*H)
 	s.catAll = mathx.EnsureMatrix(s.catAll, B*T, l.In+H)
 	s.dhNext.Zero()
@@ -179,10 +187,12 @@ func (l *LSTM) BackwardSeqBatch(dhs []*mathx.Matrix) []*mathx.Matrix {
 			copy(crow[:l.In], s.xs[t].Row(b))
 			copy(crow[l.In:], s.hs[t].Row(b))
 		}
-		mathx.MulNN(s.dconcat, s.da, l.w.W) // MulVecT per row
+		mathx.MulNNFrom(s.dconcat, s.da, l.w.W, from) // MulVecT per row
 		for b := 0; b < B; b++ {
 			crow := s.dconcat.Row(b)
-			copy(s.dxs[t].Row(b), crow[:l.In])
+			if from == 0 {
+				copy(s.dxs[t].Row(b), crow[:l.In])
+			}
 			copy(s.dhNext.Row(b), crow[l.In:])
 			dcN, dc, f := s.dcNext.Row(b), s.dc.Row(b), s.gf[t].Row(b)
 			for j := 0; j < H; j++ {
@@ -192,6 +202,9 @@ func (l *LSTM) BackwardSeqBatch(dhs []*mathx.Matrix) []*mathx.Matrix {
 	}
 	mathx.AddMulTN(l.w.G, 1, s.daAll, s.catAll) // AddOuter per row, in row order
 	mathx.AccumRows(l.b.G.Row(0), s.daAll)
+	if from != 0 {
+		return nil
+	}
 	return s.dxs
 }
 
@@ -211,7 +224,8 @@ func (e *SeqEncoder) EncodeBatch(xs []*mathx.Matrix, train bool) *mathx.Matrix {
 // BackwardFromLastBatch backpropagates a batched gradient on the final
 // hidden state (rows = sequences) through the stack, accumulating weight
 // gradients in per-sample order. The gradient with respect to the inputs is
-// discarded (the sequence inputs are data, not parameters).
+// not computed: the sequence inputs are data, not parameters, so
+// NewSeqEncoder marks the bottom layer noInputGrad.
 func (e *SeqEncoder) BackwardFromLastBatch(dLast *mathx.Matrix) {
 	if e.Layers[len(e.Layers)-1].bat.inference {
 		panic("nn: SeqEncoder.BackwardFromLastBatch: backward after inference forward")

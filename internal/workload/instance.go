@@ -17,6 +17,10 @@ const latSamplesPerTick = 32
 // maxLatSamples bounds the reservoir size per instance.
 const maxLatSamples = 20000
 
+// latFoldTicks bounds the pending log: once this many ticks await their
+// draws they are drawn, and their samples exactly fill an empty reservoir.
+const latFoldTicks = maxLatSamples / latSamplesPerTick
+
 // Instance is a running deployment of a Profile on a node.
 // It is driven by the cluster: each tick the cluster asks for its Demand,
 // resolves contention, and calls Advance with the resulting slowdown.
@@ -36,8 +40,12 @@ type Instance struct {
 
 	// latReservoir samples the logarithms of the response times: drawing
 	// one needs no exp, and only the order statistics TailLatencies reads
-	// are ever exponentiated.
+	// are ever exponentiated. A tick only logs its log-median in
+	// latPending; the tick's samples are drawn later (drawPending), in
+	// tick order, from rng, which nothing else reads. When they are drawn
+	// therefore changes no draw.
 	latReservoir mathx.Vector
+	latPending   []float64
 	latSeen      int64
 	rng          *randutil.Source
 
@@ -160,9 +168,10 @@ func (in *Instance) serveRate(s float64) float64 {
 	return math.Min(offered, capacity)
 }
 
-// sampleLatencies draws synthetic response times for this tick. The median
-// grows with the effective slowdown, with queueing inflation as the offered
-// load approaches capacity, plus the small unloaded remote delta (Fig. 3).
+// sampleLatencies logs this tick's response-time distribution: log-normal
+// around a median that grows with the effective slowdown, with queueing
+// inflation as the offered load approaches capacity, plus the small
+// unloaded remote delta (Fig. 3). Its samples are drawn by drawPending.
 func (in *Instance) sampleLatencies(s, rate float64) {
 	p := in.Profile
 	utilization := rate * s / p.MaxOpsPerSec
@@ -171,16 +180,44 @@ func (in *Instance) sampleLatencies(s, rate float64) {
 	if in.Tier == memsys.TierRemote {
 		median *= 1 + p.RemoteLatFrac
 	}
-	mu := math.Log(median)
-	for i := 0; i < latSamplesPerTick; i++ {
-		x := in.rng.Normal(mu, p.LatSigma)
-		in.latSeen++
-		if len(in.latReservoir) < maxLatSamples {
-			in.latReservoir = append(in.latReservoir, x)
-		} else if j := in.rng.Intn(int(in.latSeen)); j < maxLatSamples {
-			in.latReservoir[j] = x
+	if in.latPending == nil {
+		in.latPending = make([]float64, 0, latFoldTicks)
+	}
+	in.latPending = append(in.latPending, math.Log(median))
+	if len(in.latPending) == latFoldTicks {
+		in.drawPending()
+	}
+}
+
+// drawPending draws latSamplesPerTick samples for every pending tick into
+// the Algorithm-R reservoir, in tick order. The reservoir is allocated once,
+// at its final size: full, unless the instance is done and will never fill
+// it.
+func (in *Instance) drawPending() {
+	if len(in.latPending) == 0 {
+		return
+	}
+	if in.latReservoir == nil {
+		size := maxLatSamples
+		if in.done {
+			size = min(size, latSamplesPerTick*len(in.latPending))
+		}
+		in.latReservoir = make(mathx.Vector, 0, size)
+	}
+	res, seen, sigma := in.latReservoir, in.latSeen, in.Profile.LatSigma
+	for _, mu := range in.latPending {
+		for i := 0; i < latSamplesPerTick; i++ {
+			x := in.rng.Normal(mu, sigma)
+			seen++
+			if len(res) < maxLatSamples {
+				res = append(res, x)
+			} else if j := in.rng.Intn(int(seen)); j < maxLatSamples {
+				res[j] = x
+			}
 		}
 	}
+	in.latReservoir, in.latSeen = res, seen
+	in.latPending = in.latPending[:0]
 }
 
 // ExecTime returns the wall-clock execution time. For a finished instance
@@ -206,7 +243,9 @@ func (in *Instance) TailLatency(pct float64) float64 {
 // partition of the samples. exp is increasing, so the sample of rank k is
 // the exp of the rank-k logarithm, and the percentiles interpolate between
 // the same two response times as if every sample had been exponentiated.
+// A read first draws the pending ticks' samples, which moves no later draw.
 func (in *Instance) TailLatencies(pcts ...float64) []float64 {
+	in.drawPending()
 	if len(in.latReservoir) == 0 {
 		return make([]float64, len(pcts))
 	}
@@ -214,4 +253,7 @@ func (in *Instance) TailLatencies(pcts ...float64) []float64 {
 }
 
 // LatencySampleCount returns the number of retained latency samples.
-func (in *Instance) LatencySampleCount() int { return len(in.latReservoir) }
+func (in *Instance) LatencySampleCount() int {
+	in.drawPending()
+	return len(in.latReservoir)
+}

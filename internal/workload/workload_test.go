@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -362,28 +363,16 @@ func TestPropertySlowdownClamped(t *testing.T) {
 // stream, keeps the response times themselves and sorts them to read a
 // percentile. Every percentile must agree to the last bit.
 func TestTailLatenciesMatchEagerExp(t *testing.T) {
-	p := &Profile{
-		Name: "longlc", Class: LatencyCritical,
-		TotalOps: 1e12, MaxOpsPerSec: 60e3, TargetOpsRate: 30e3,
-		BaseP50Ms: 0.45, LatSigma: 0.55, RemoteLatFrac: 0.06,
-		RemotePenaltyIso: 1, InterfSens: 0.5,
-	}
+	p := longLC()
 	for _, tier := range []memsys.Tier{memsys.TierLocal, memsys.TierRemote} {
 		in := NewInstance(1, p, tier, 0, randutil.New(21))
 		ref := randutil.New(21)
 		var vals []float64
 		seen := 0
 		for tick := 1; tick <= 900; tick++ {
-			raw := 1 + 3*math.Abs(math.Sin(float64(tick)/17))
+			raw := wavySlowdown(tick)
 			in.Advance(float64(tick), 1, raw)
-
-			s := 1 + (raw-1)*p.InterfSens
-			rate := math.Min(p.TargetOpsRate, p.MaxOpsPerSec/s)
-			median := p.BaseP50Ms * s * (1 + 2*math.Pow(math.Min(rate*s/p.MaxOpsPerSec, 1), 3))
-			if tier == memsys.TierRemote {
-				median *= 1 + p.RemoteLatFrac
-			}
-			mu := math.Log(median)
+			mu := refLogMedian(p, tier, raw)
 			for i := 0; i < latSamplesPerTick; i++ {
 				x := math.Exp(ref.Normal(mu, p.LatSigma)) // one log-normal latency draw
 				seen++
@@ -412,6 +401,121 @@ func TestTailLatenciesMatchEagerExp(t *testing.T) {
 		}
 		if in.LatencySampleCount() != maxLatSamples {
 			t.Fatalf("reservoir holds %d samples, want it full", in.LatencySampleCount())
+		}
+	}
+}
+
+// longLC is an LC service that never finishes inside a test.
+func longLC() *Profile {
+	return &Profile{
+		Name: "longlc", Class: LatencyCritical,
+		TotalOps: 1e12, MaxOpsPerSec: 60e3, TargetOpsRate: 30e3,
+		BaseP50Ms: 0.45, LatSigma: 0.55, RemoteLatFrac: 0.06,
+		RemotePenaltyIso: 1, InterfSens: 0.5,
+	}
+}
+
+// wavySlowdown is a raw slowdown that keeps changing from tick to tick.
+func wavySlowdown(tick int) float64 { return 1 + 3*math.Abs(math.Sin(float64(tick)/17)) }
+
+// refLogMedian is the log-median of one tick's response times, written out
+// from the latency model (load factor 1).
+func refLogMedian(p *Profile, tier memsys.Tier, raw float64) float64 {
+	s := 1 + (raw-1)*p.InterfSens
+	rate := math.Min(p.TargetOpsRate, p.MaxOpsPerSec/s)
+	median := p.BaseP50Ms * s * (1 + 2*math.Pow(math.Min(rate*s/p.MaxOpsPerSec, 1), 3))
+	if tier == memsys.TierRemote {
+		median *= 1 + p.RemoteLatFrac
+	}
+	return math.Log(median)
+}
+
+// eagerReservoir is the sampler the pending log replaced: every tick draws
+// its latSamplesPerTick log-latencies into the Algorithm-R reservoir at
+// once.
+type eagerReservoir struct {
+	rng  *randutil.Source
+	res  mathx.Vector
+	seen int
+}
+
+func (e *eagerReservoir) tick(mu, sigma float64) {
+	for i := 0; i < latSamplesPerTick; i++ {
+		x := e.rng.Normal(mu, sigma)
+		e.seen++
+		if len(e.res) < maxLatSamples {
+			e.res = append(e.res, x)
+		} else if j := e.rng.Intn(e.seen); j < maxLatSamples {
+			e.res[j] = x
+		}
+	}
+}
+
+// TestLatencyReservoirLazyMatchesEager runs LC instances on both tiers beside
+// the eager sampler on the same stream. One never finishes, lives well past
+// latFoldTicks (so full pending logs fold and replacement draws run) and is
+// read either never mid-run or at random ticks, ticking on after each read;
+// one finishes before its reservoir fills and is read once, at completion.
+// At every read the reservoir, its count and its tails must match the
+// eager sampler's to the last bit.
+func TestLatencyReservoirLazyMatchesEager(t *testing.T) {
+	short := longLC()
+	short.Name, short.TotalOps = "shortlc", 30e3*400
+	pcts := []float64{50, 99, 99.9, 100}
+	picks := rand.New(rand.NewSource(31))
+	for _, tier := range []memsys.Tier{memsys.TierLocal, memsys.TierRemote} {
+		for _, c := range []struct {
+			name        string
+			p           *Profile
+			ticks       int
+			midRunReads bool
+		}{
+			{"fold-only", longLC(), 2*latFoldTicks + 100, false},
+			{"random-reads", longLC(), 3 * latFoldTicks, true},
+			{"finishes", short, 600, false},
+		} {
+			in := NewInstance(1, c.p, tier, 0, randutil.New(41))
+			ref := &eagerReservoir{rng: randutil.New(41)}
+			check := func(tick int) {
+				t.Helper()
+				got := in.TailLatencies(pcts...)
+				if n := in.LatencySampleCount(); n != len(ref.res) {
+					t.Fatalf("%v %s tick %d: %d samples, eager %d", tier, c.name, tick, n, len(ref.res))
+				}
+				if !in.Done() && cap(in.latReservoir) != maxLatSamples {
+					t.Fatalf("%v %s tick %d: running instance's reservoir has cap %d, want it allocated full",
+						tier, c.name, tick, cap(in.latReservoir))
+				}
+				for i, x := range in.latReservoir {
+					if math.Float64bits(x) != math.Float64bits(ref.res[i]) {
+						t.Fatalf("%v %s tick %d: reservoir[%d] = %v, eager %v", tier, c.name, tick, i, x, ref.res[i])
+					}
+				}
+				for i, want := range mathx.QuantilesMapped(ref.res, math.Exp, pcts...) {
+					if math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("%v %s tick %d: p%v = %v, eager %v", tier, c.name, tick, pcts[i], got[i], want)
+					}
+				}
+			}
+			next := 1 + picks.Intn(latFoldTicks)
+			tick := 1
+			for ; tick <= c.ticks && !in.Done(); tick++ {
+				raw := wavySlowdown(tick)
+				in.Advance(float64(tick), 1, raw)
+				ref.tick(refLogMedian(c.p, tier, raw), c.p.LatSigma)
+				if c.midRunReads && tick == next {
+					check(tick)
+					next += 1 + picks.Intn(latFoldTicks)
+				}
+			}
+			check(tick - 1)
+			switch {
+			case c.name == "finishes" && (!in.Done() || cap(in.latReservoir) != len(ref.res)):
+				t.Errorf("%v %s: done %v, reservoir cap %d for %d samples; want done, sized exactly",
+					tier, c.name, in.Done(), cap(in.latReservoir), len(ref.res))
+			case c.name != "finishes" && ref.seen <= maxLatSamples:
+				t.Errorf("%v %s: %d draws never replaced a sample", tier, c.name, ref.seen)
+			}
 		}
 	}
 }

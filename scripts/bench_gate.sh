@@ -30,9 +30,7 @@
 #     is recorded either way.
 #
 #   * a steady-state tick of the simulated testbed allocates nothing
-#     (BenchmarkClusterTick12, recorded as cluster_tick_allocs). The cost of
-#     one replayed 900 s scenario (BenchmarkScenarioRun900) is recorded
-#     beside it as scenario_run_ms — recorded, not gated.
+#     (BenchmarkClusterTick12, recorded as cluster_tick_allocs).
 #
 # The quant/float ratios (serve_quant_speedup, predict_quant_speedup) are
 # recorded, not gated: since the float models predict through the same
@@ -49,6 +47,14 @@
 # times, one iteration each; its median and spread are recorded as
 # train_fast_s / train_fast_s_spread and its worst allocation count as
 # train_fast_allocs — recorded, not gated.
+#
+# The simulated testbed's cost also runs six times at one core, because a
+# single run of it swung 1.62 → 2.47 ms between two unchanged gate runs: one
+# replayed 900 s scenario (BenchmarkScenarioRun900, 200 iterations) as the
+# median scenario_run_ms, its spread and its worst B/op as
+# scenario_run_bytes; and the replay's unit of work, one held-out scenario
+# all-local then under Adrias (BenchmarkReplayPair, 50 iterations), as the
+# median replay_pair_ms and its spread. All recorded, not gated.
 #
 # The serve hot-path benchmarks move the monitoring window before every batch,
 # so the gates above keep measuring inference, not the per-window prediction
@@ -96,15 +102,20 @@ echo "== bench-gate: offline training, median of 6 (all cores, 1x) =="
 go test -run='^$' -benchtime=1x -count=6 \
   -bench='^BenchmarkTrainFast$' . | tee -a "$med_txt"
 
+echo "== bench-gate: simulated testbed and replay pair, median of 6 (one core) =="
+go test -run='^$' -cpu=1 -benchtime=200x -count=6 \
+  -bench='^BenchmarkScenarioRun900$' ./internal/scenario | tee -a "$med_txt"
+go test -run='^$' -cpu=1 -benchtime=50x -count=6 \
+  -bench='^BenchmarkReplayPair$' . | tee -a "$med_txt"
+
 echo "== bench-gate: sharded placement throughput (replicas 1/2/4, -cpu=4) =="
 go test -run='^$' -cpu=4 -benchtime="$BENCHTIME" \
   -bench='^BenchmarkPlaceThroughputR(1|2|4|4Learn)$' \
   ./internal/serve | tee -a "$bench_txt"
 
-echo "== bench-gate: simulated testbed (steady-state tick, one 900 s scenario) =="
+echo "== bench-gate: simulated testbed (steady-state tick) =="
 go test -run='^$' -cpu=1 -benchtime="$BENCHTIME" \
-  -bench='^(BenchmarkClusterTick12|BenchmarkScenarioRun900)$' \
-  ./internal/cluster ./internal/scenario | tee -a "$bench_txt"
+  -bench='^BenchmarkClusterTick12$' ./internal/cluster | tee -a "$bench_txt"
 
 echo "== bench-gate: decision-flip contract (fast scale) =="
 go run ./cmd/adrias-bench -scale fast -quant | tee "$flip_txt"
@@ -121,13 +132,15 @@ awk -v out="$OUT" -v flip="$flip_rate" -v flip_budget="$FLIP_BUDGET" \
     -v min_scale="$MIN_SCALE" -v med="$med_txt" \
     -v events_budget="$EVENTS_BUDGET" -v learn_budget="$LEARN_BUDGET" \
     -v ncpu="$NCPU" '
-# The -count=6 runs: every ns/op kept for the median, the worst allocs/op.
+# The -count=6 runs: every ns/op kept for the median, the worst B/op and
+# allocs/op.
 FILENAME == med {
   if ($0 !~ /^Benchmark/) next
   name = $1
   sub(/-[0-9]+$/, "", name)
   for (i = 2; i <= NF; i++) {
     if ($i == "ns/op") mv[name, ++mc[name]] = $(i - 1) + 0
+    if ($i == "B/op" && (!(name in mb) || $(i - 1) + 0 > mb[name])) mb[name] = $(i - 1) + 0
     if ($i == "allocs/op" && (!(name in ma) || $(i - 1) + 0 > ma[name])) ma[name] = $(i - 1) + 0
   }
   next
@@ -145,6 +158,8 @@ function median_us(name,    c, i, j, t) {
   if (c % 2) return sprintf("%.3f", mv[name, (c + 1) / 2] / 1000)
   return sprintf("%.3f", (mv[name, c / 2] + mv[name, c / 2 + 1]) / 2000)
 }
+# ms converts a median_us result to milliseconds, keeping "null".
+function ms(us) { return (us == "null") ? "null" : sprintf("%.3f", us / 1000) }
 /^Benchmark/ {
   name = $1
   sub(/-[0-9]+$/, "", name)
@@ -216,8 +231,14 @@ END {
   printf "  \"place_throughput_r4_learn\": %.0f,\n", r4l > out
   printf "  \"place_learn_overhead\": %.3f,\n", learn_overhead > out
   printf "  \"learn_budget\": %s,\n", learn_budget > out
-  sr = ns["BenchmarkScenarioRun900"]
-  printf "  \"scenario_run_ms\": %s,\n", (sr == "null" || sr == "") ? "null" : sprintf("%.3f", sr / 1e6) > out
+  m = median_us("BenchmarkScenarioRun900")
+  printf "  \"scenario_run_ms\": %s,\n", ms(m) > out
+  printf "  \"scenario_run_ms_spread\": [%s, %s],\n", ms(lo_us), ms(hi_us) > out
+  sb = ("BenchmarkScenarioRun900" in mb) ? mb["BenchmarkScenarioRun900"] : "null"
+  printf "  \"scenario_run_bytes\": %s,\n", sb > out
+  m = median_us("BenchmarkReplayPair")
+  printf "  \"replay_pair_ms\": %s,\n", ms(m) > out
+  printf "  \"replay_pair_ms_spread\": [%s, %s],\n", ms(lo_us), ms(hi_us) > out
   ta = alloc["BenchmarkClusterTick12"]
   printf "  \"cluster_tick_allocs\": %s,\n", (ta == "") ? "null" : ta > out
   printf "  \"bench_cpus\": %d\n}\n", ncpu > out

@@ -36,8 +36,8 @@ if [ "$#" -eq 0 ]; then
     if (!(name in seen)) { seen[name] = 1; order[++n] = name }
     have[file, name] = 1
   }
-  # Scalar summary fields (speedups, flip rate).
-  /"(predict|serve)_quant_speedup"|"decision_flip_rate"/ {
+  # Scalar summary fields (speedups, flip rate, testbed medians).
+  /"(predict|serve)_quant_speedup"|"decision_flip_rate"|"scenario_run_(ms|bytes)"|"replay_pair_ms"/ {
     line = $0
     gsub(/[",:{}]/, " ", line)
     split(line, f, /[ \t]+/)
