@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -122,5 +124,25 @@ func TestMedianOf(t *testing.T) {
 	}
 	if medianOf([]float64{1, 2, 3, 4}) != 2.5 {
 		t.Error("even median wrong")
+	}
+}
+
+// TestMedianDropVsOrderIndependent: Fig. 16's average median drop is one
+// float sum over apps, so it must not depend on Go's random map order —
+// repeated calls over the same outcomes are bit-identical.
+func TestMedianDropVsOrderIndependent(t *testing.T) {
+	self, ref := &evalOutcome{beExec: map[string][]float64{}}, &evalOutcome{beExec: map[string][]float64{}}
+	x := 0.3
+	next := func() float64 { x = math.Mod(x*9301+0.49297, 1); return x } // irregular, seeded
+	for i := 0; i < 24; i++ {
+		app := fmt.Sprintf("app-%02d", i)
+		self.beExec[app] = []float64{10 + 90*next(), 10 + 90*next(), 10 + 90*next()}
+		ref.beExec[app] = []float64{10 + 90*next(), 10 + 90*next()}
+	}
+	want := self.medianDropVs(ref)
+	for i := 0; i < 200; i++ {
+		if got := self.medianDropVs(ref); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: %v, first call %v", i, got, want)
+		}
 	}
 }

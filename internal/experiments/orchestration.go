@@ -100,10 +100,18 @@ func (o *evalOutcome) offloadFraction() float64 {
 	return float64(remote) / float64(local+remote)
 }
 
-// medianDropVs returns the mean over apps of (median_self/median_ref − 1).
+// medianDropVs returns the mean over apps of (median_self/median_ref − 1),
+// summed in app-name order so the float result does not depend on map
+// iteration order.
 func (o *evalOutcome) medianDropVs(ref *evalOutcome) float64 {
+	apps := make([]string, 0, len(o.beExec))
+	for app := range o.beExec {
+		apps = append(apps, app)
+	}
+	sort.Strings(apps)
 	var drops []float64
-	for app, times := range o.beExec {
+	for _, app := range apps {
+		times := o.beExec[app]
 		rt, ok := ref.beExec[app]
 		if !ok || len(times) < 2 || len(rt) < 2 {
 			continue

@@ -99,8 +99,9 @@ func (c Config) withDefaults() Config {
 
 // Deps wires the loop into the serve engine.
 type Deps struct {
-	// Base is the swappable slot at the bottom of the engine's inference
-	// stack; promotion retargets it.
+	// Base, when set, is a swappable slot at the bottom of an inference
+	// stack; promotion retargets it. nil: promotion only moves Live, and the
+	// deciders re-clone from it.
 	Base *core.SwappableInference
 	// Live is the float predictor serving generation 1.
 	Live *core.Predictor
@@ -502,8 +503,8 @@ func (l *Loop) verdict(now float64) {
 
 // promote hot-swaps the candidate in: it is rebound to the live signature
 // store, a new predictor generation is assembled around it, the int8 twin
-// is re-derived when serving quantized, and the engine's swappable slot is
-// atomically retargeted. Runs under mu on the engine's lock context, so
+// is re-derived when serving quantized, and Base, when set, is atomically
+// retargeted. Runs under mu on the engine's lock context, so
 // signature-store rebinding cannot race with in-situ captures.
 func (l *Loop) promote(now, liveErr, candErr, flipRate float64) {
 	l.cand.Rebind(l.live.Sigs)
@@ -514,12 +515,14 @@ func (l *Loop) promote(now, liveErr, candErr, flipRate float64) {
 		next.BE = l.cand
 	}
 	quantFlip := -1.0
+	var bottom core.PerfInference = next
 	if l.deps.Quantized {
 		quant := core.NewQuantPredictor(next)
 		quantFlip = l.quantFlipRate(next, quant)
-		l.deps.Base.Store(quant)
-	} else {
-		l.deps.Base.Store(next)
+		bottom = quant
+	}
+	if l.deps.Base != nil {
+		l.deps.Base.Store(bottom)
 	}
 	l.live = next
 	newGen := l.candGen

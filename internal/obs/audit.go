@@ -29,9 +29,9 @@ type DecisionRecord struct {
 	// (0 when the online learning loop is disabled), so post-swap decision
 	// mixes can be attributed to the model that made them.
 	ModelGen int `json:"model_gen,omitempty"`
-	// Replica is the 1-based replica shard that decided the placement
-	// (0: the engine's own serial path), so swap propagation across the
-	// scale-out tier is auditable per decider.
+	// Replica is the 1-based replica shard that decided the placement (1:
+	// the engine's own decider; 0 on lifecycle records), so swap
+	// propagation across the scale-out tier is auditable per decider.
 	Replica int `json:"replica,omitempty"`
 	// Event marks non-decision lifecycle records interleaved in the log —
 	// currently "model-swap", recorded when the learning loop promotes a

@@ -116,12 +116,12 @@ func (c EngineConfig) withDefaults(histTicks int) EngineConfig {
 // live simulated testbed. The testbed advances in simulated time through
 // Advance (driven by a wall-clock ticker in cmd/adrias-serve); placement
 // requests are decided — and, unless DryRun, deployed — against its current
-// monitoring window. One mutex serializes batches and ticks: the Engine is
-// called with whole coalesced batches, so the lock is taken once per batch,
-// not once per request.
+// monitoring window. Admission has one path, the claim/commit protocol of
+// rack.go: deciders read the published view without a lock, and the engine
+// mutex is the commit sequencer, which Advance's ticks share. The engine's
+// own PlaceBatch is its replica-0 decider, the one-replica case.
 type SystemEngine struct {
 	mu    sync.Mutex
-	orch  *core.Orchestrator
 	watch *core.Watcher
 	reg   *workload.Registry
 	cl    *cluster.Cluster
@@ -130,11 +130,18 @@ type SystemEngine struct {
 	cfg   EngineConfig
 	audit *obs.AuditLog   // nil until RegisterObs
 	brk   *faults.Breaker // nil when DisableBreaker
-	// base is the swappable slot at the bottom of the inference stack; the
-	// learning loop retargets it on promotion. learner is nil unless
-	// EngineConfig.Learn is set.
-	base    *core.SwappableInference
+	// pred is the engine's Predictor value over the caller's models, the
+	// source every decider clones (generation 1 of the learning loop); qosMs
+	// holds the LC p99 targets, read-only after construction. learner is nil
+	// unless EngineConfig.Learn is set.
+	pred    *core.Predictor
+	qosMs   map[string]float64
 	learner *learn.Loop
+	// decider is replica 0, minted by NewShard at construction; PlaceBatch
+	// and PlaceBatchInto run it under placeMu, so the engine stays safe for
+	// concurrent callers while a decider serves one batch at a time.
+	decider *engineShard
+	placeMu sync.Mutex
 	// memo counts prediction-memo hits and misses across every predictor this
 	// engine serves from: its own, each shard's clone, each promoted
 	// generation (they inherit the pointer through core.Predictor.Memo).
@@ -159,19 +166,13 @@ type SystemEngine struct {
 	shardMu sync.Mutex
 	shards  []*engineShard
 	// Optimistic-commit telemetry, exported on /metrics.
-	conflicts      atomic.Uint64 // remote claims that lost the commit race
-	commitRetries  atomic.Uint64 // conflict losers re-decided from the ring
-	downgrades     atomic.Uint64 // losers downgraded to the safe local tier
-	retryDrops     atomic.Uint64 // losers evicted from the full retry ring
-	shardDecisions atomic.Uint64 // decisions made by replica shards
-	shardReclones  atomic.Uint64 // shard stacks re-cloned after a promotion
-	dupFinalizes   atomic.Uint64 // double-finalize attempts caught by the guard
-
-	// PlaceBatchInto scratch, reused across batches under mu.
-	batProfiles []*workload.Profile
-	batIdx      []int
-	batDS       []core.Decision
-	batPlace    []learn.Placement
+	commits       atomic.Uint64 // claims that won their commit
+	conflicts     atomic.Uint64 // remote claims that lost the commit race
+	commitRetries atomic.Uint64 // conflict losers re-decided from the ring
+	downgrades    atomic.Uint64 // losers downgraded to the safe local tier
+	retryDrops    atomic.Uint64 // losers evicted from the full retry ring
+	shardReclones atomic.Uint64 // shard stacks re-cloned after a promotion
+	dupFinalizes  atomic.Uint64 // double-finalize attempts caught by the guard
 
 	ambientStarted uint64
 	// serveStart anchors the ambient-rate ramp (simulated time at the end
@@ -188,8 +189,8 @@ type SystemEngine struct {
 	simNow atomic.Uint64
 
 	// slo is the attached SLO evaluator (AttachSLO; nil pointer until then).
-	// Atomic because shard dry-run finalizers stamp the overall state into
-	// audit records without the engine lock. events is fixed at construction.
+	// Atomic because dry-run finalizers stamp the overall state into audit
+	// records without the engine lock. events is fixed at construction.
 	slo    atomic.Pointer[obs.SLO]
 	events *obs.EventSink
 	// Cumulative decision counters feeding the SLO objective sources; the
@@ -238,13 +239,13 @@ func NewSystemEngine(pred *core.Predictor, watch *core.Watcher, reg *workload.Re
 		ambientApps: append(append([]*workload.Profile(nil), reg.Spark()...), reg.LC()...),
 	}
 	// The engine serves from its own Predictor value over the caller's
-	// models: the prediction memo and its counters are then this engine's,
-	// not shared with whoever else holds the caller's value.
-	pred = &core.Predictor{Sys: pred.Sys, BE: pred.BE, LC: pred.LC, Sigs: pred.Sigs, Memo: &e.memo}
-	e.orch = core.NewOrchestrator(pred, watch, cfg.Beta)
+	// models: the memo counters are then this engine's, not shared with
+	// whoever else holds the caller's value.
+	e.pred = &core.Predictor{Sys: pred.Sys, BE: pred.BE, LC: pred.LC, Sigs: pred.Sigs, Memo: &e.memo}
+	e.qosMs = make(map[string]float64)
 	if cfg.QoSFactor > 0 {
 		for _, p := range reg.LC() {
-			e.orch.QoSMs[p.Name] = p.BaseP50Ms * cfg.QoSFactor
+			e.qosMs[p.Name] = p.BaseP50Ms * cfg.QoSFactor
 		}
 	}
 	// In-situ signature capture for cold-started apps, write-through the
@@ -264,20 +265,19 @@ func NewSystemEngine(pred *core.Predictor, watch *core.Watcher, reg *workload.Re
 		}
 		e.brk = faults.NewBreaker(bcfg)
 	}
-	e.base, e.orch.Infer = e.inferStack(pred)
 	if cfg.Learn != nil {
+		// No Base slot: every decider re-clones from the loop's Live
+		// generation after a promotion (maybeReclone).
 		e.learner = learn.New(*cfg.Learn, learn.Deps{
-			Base:      e.base,
-			Live:      pred,
+			Live:      e.pred,
 			Quantized: cfg.Quantized,
 			Beta:      cfg.Beta,
-			QoSMs:     e.orch.QoSMs,
+			QoSMs:     e.qosMs,
 			SimNow:    e.SimNow,
 			OnSwap:    e.recordSwap,
 			OnOutcome: e.recordOutcome,
 		})
 	}
-	e.orch.FabricDegraded = e.cl.Node().Fabric().Degraded
 	if cfg.Faults != nil {
 		// Impose the scheduled fabric state after every tick resolution (it
 		// binds from the next tick — fault windows span many ticks). The
@@ -311,16 +311,17 @@ func NewSystemEngine(pred *core.Predictor, watch *core.Watcher, reg *workload.Re
 		cfg.Faults.Start(e.cl.Now())
 	}
 	e.view.Store(e.buildView())
+	e.decider = e.newShard(0)
 	return e
 }
 
 // inferStack assembles one decider's prediction path over pred, bottom to
 // top: the model (its int8 twin when serving quantized) in a swappable slot
-// — the hot-swap point: the learning loop retargets the engine's, a shard
-// retargets its own when it re-clones — then fault injection closest to the
-// model, then the circuit breaker + last-good cache, so the breaker sees
-// injected failures exactly as it would real ones. The injector and the
-// breaker are the engine's, shared by every stack (both concurrency-safe).
+// — the hot-swap point, retargeted when the decider re-clones after a
+// promotion — then fault injection closest to the model, then the circuit
+// breaker + last-good cache, so the breaker sees injected failures exactly
+// as it would real ones. The injector and the breaker are the engine's,
+// shared by every stack (both concurrency-safe).
 func (e *SystemEngine) inferStack(pred *core.Predictor) (*core.SwappableInference, core.PerfInference) {
 	base := core.NewSwappableInference(e.bottomInference(pred))
 	var infer core.PerfInference = base
@@ -543,161 +544,24 @@ type sampleEvent struct {
 	Running int       `json:"running"`
 }
 
-// PlaceBatch implements Engine: one lock acquisition, one DecideBatch (one
-// Ŝ forecast + one batched inference per performance model) for the whole
-// coalesced batch. Unknown applications fail individually with
-// ErrUnknownApp; the rest of the batch is unaffected. ctx carries the
-// batch's obs.SpanRecorder through to the orchestrator's pipeline stages;
-// every decision is recorded in the audit log (when RegisterObs wired one)
-// and published on the configured bus.
+// PlaceBatch implements Engine through the engine's replica-0 decider: one
+// Ŝ forecast + one batched inference per performance model for the whole
+// coalesced batch against the published view, then one sequencer commit
+// for its deploys (rack.go). Unknown applications fail individually with
+// ErrUnknownApp; ctx carries the batch's obs.SpanRecorder through to the
+// orchestrator's pipeline stages.
 func (e *SystemEngine) PlaceBatch(ctx context.Context, reqs []PlaceRequest) []PlaceResult {
 	results := make([]PlaceResult, len(reqs))
 	e.PlaceBatchInto(ctx, reqs, results)
 	return results
 }
 
-// PlaceBatchInto is the allocation-free core of PlaceBatch: results[i]
-// (caller-owned, len(reqs)) answers reqs[i], and all batch scratch lives on
-// the engine. In steady state — fixed batch shape, warm arenas, a quantized
-// prediction path (EngineConfig.Quantized), decision ring at its bound, no
-// audit log or bus, and DryRun requests — a batch allocates nothing; the
-// bench-gate CI job pins that on the decode→decide→encode benchmark.
+// PlaceBatchInto is the allocation-free core of PlaceBatch (see
+// engineShard.PlaceBatchInto): results[i], caller-owned, answers reqs[i].
 func (e *SystemEngine) PlaceBatchInto(ctx context.Context, reqs []PlaceRequest, results []PlaceResult) {
-	if len(results) != len(reqs) {
-		panic("serve: PlaceBatchInto output length mismatch")
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
-	if cap(e.batProfiles) < len(reqs) {
-		e.batProfiles = make([]*workload.Profile, 0, len(reqs))
-		e.batIdx = make([]int, 0, len(reqs))
-		e.batDS = make([]core.Decision, len(reqs))
-	}
-	profiles := e.batProfiles[:0]
-	idx := e.batIdx[:0]
-	for i, r := range reqs {
-		results[i] = PlaceResult{App: r.App, TraceID: r.TraceID}
-		p := e.reg.ByName(r.App)
-		if p == nil {
-			results[i].Err = fmt.Errorf("%w: %q", ErrUnknownApp, r.App)
-			continue
-		}
-		results[i].Class = p.Class
-		profiles = append(profiles, p)
-		idx = append(idx, i)
-	}
-	e.batProfiles, e.batIdx = profiles, idx
-	if len(profiles) == 0 {
-		return
-	}
-	ds := e.batDS[:len(profiles)]
-	e.orch.DecideBatchInto(ctx, profiles, e.cl, ds)
-	now := time.Now()
-	modelGen := 0
-	if e.learner != nil {
-		modelGen = e.learner.Generation()
-	}
-	place := e.batPlace[:0]
-	deployed := false
-	sloState := e.sloStateLabel()
-	for k, i := range idx {
-		d := ds[k]
-		results[i].Tier = d.Tier
-		results[i].Node = d.Node
-		results[i].PredLocalS = d.PredLocal
-		results[i].PredRemS = d.PredRem
-		results[i].ColdStart = d.ColdStart
-		results[i].Fallback = d.Fallback
-		results[i].Reason = d.Reason
-		e.countDecision(d.Reason)
-		if !reqs[i].DryRun {
-			deployed = true
-			in := e.cl.Deploy(profiles[k], d.Tier)
-			if e.learner != nil && in != nil && in.Profile.Class != workload.Interference {
-				// Note in.Tier, not d.Tier: Deploy may fall back on capacity.
-				place = append(place, learn.Placement{
-					InstID:    in.ID,
-					TraceID:   reqs[i].TraceID,
-					App:       d.App,
-					Class:     in.Profile.Class,
-					Tier:      in.Tier,
-					PredLocal: d.PredLocal,
-					PredRem:   d.PredRem,
-					Gen:       modelGen,
-				})
-			}
-			if e.events != nil {
-				// The wide event records what actually committed: Deploy may
-				// fall back on capacity, so prefer the instance's tier.
-				tier := d.Tier
-				if in != nil {
-					tier = in.Tier
-				}
-				e.events.Record(obs.WideEvent{
-					Kind:        "admission",
-					TraceID:     reqs[i].TraceID,
-					Time:        now,
-					SimTime:     e.cl.Now(),
-					App:         d.App,
-					Class:       d.Class.String(),
-					Tier:        tier.String(),
-					Node:        d.Node,
-					Reason:      d.Reason,
-					PredLocalS:  d.PredLocal,
-					PredRemoteS: d.PredRem,
-					ColdStart:   d.ColdStart,
-					Fallback:    d.Fallback,
-					BatchSize:   len(profiles),
-					ModelGen:    modelGen,
-					SLOState:    sloState,
-				})
-			}
-		}
-		if e.audit != nil {
-			e.audit.Record(obs.DecisionRecord{
-				TraceID:     reqs[i].TraceID,
-				Time:        now,
-				SimTime:     e.cl.Now(),
-				App:         d.App,
-				Class:       d.Class.String(),
-				Tier:        d.Tier.String(),
-				Node:        d.Node,
-				PredLocalS:  d.PredLocal,
-				PredRemoteS: d.PredRem,
-				Beta:        e.orch.Beta,
-				QoSMs:       e.orch.QoSMs[d.App],
-				ColdStart:   d.ColdStart,
-				Fallback:    d.Fallback,
-				Reason:      d.Reason,
-				BatchSize:   len(profiles),
-				ModelGen:    modelGen,
-				SLOState:    sloState,
-			})
-		}
-		if e.cfg.Bus != nil {
-			_, _ = e.cfg.Bus.Publish("orchestrator.decisions", decisionEvent{
-				TraceID: reqs[i].TraceID, App: d.App, Class: d.Class.String(),
-				Tier: d.Tier.String(), Node: d.Node, PredLocal: d.PredLocal,
-				PredRem: d.PredRem, ColdStart: d.ColdStart, Reason: d.Reason,
-				ModelGen: modelGen,
-			})
-		}
-	}
-	e.batPlace = place
-	if deployed {
-		// The deploys changed node 0's occupancy: bump the view version and
-		// republish so concurrent shards see the claim they must not double-
-		// spend. Dry-run batches skip this — the hot path stays 0 allocs/op.
-		e.viewVer++
-		e.republishOccupancy()
-	}
-	if e.learner != nil && len(place) > 0 {
-		// The window the decisions saw (watcher scratch; the loop clones it
-		// once per batch). The shadow candidate, when active, predicts the
-		// same admissions here.
-		e.learner.OnBatch(e.watch.WindowInto(e.cl), place)
-	}
+	e.placeMu.Lock()
+	defer e.placeMu.Unlock()
+	e.decider.PlaceBatchInto(ctx, reqs, results)
 }
 
 // Advance moves the testbed simSec simulated seconds forward, injecting
@@ -845,7 +709,7 @@ func (e *SystemEngine) Snapshot() EngineStats {
 	defer e.mu.Unlock()
 	s := EngineStats{
 		SimTime:        e.cl.Now(),
-		Decisions:      int(e.orch.TotalDecisions() + e.shardDecisions.Load()),
+		Decisions:      int(e.sloDecisions.Load()),
 		AmbientStarted: e.ambientStarted,
 		Ready:          e.watch.Ready(e.cl),
 		Nodes:          len(e.nodes),
@@ -899,7 +763,8 @@ func (e *SystemEngine) RegisterMetrics(m *Metrics) {
 		obs.WriteCounter(w, "adrias_serve_commit_retries_total", "Conflict losers re-decided against a refreshed view.", e.commitRetries.Load())
 		obs.WriteCounter(w, "adrias_serve_commit_downgrades_total", "Conflict losers downgraded to the safe local tier (reason commit-conflict).", e.downgrades.Load())
 		obs.WriteCounter(w, "adrias_serve_retry_dropped_total", "Conflict losers evicted from the full retry ring.", e.retryDrops.Load())
-		obs.WriteCounter(w, "adrias_serve_shard_decisions_total", "Placement decisions made by replica shards.", e.shardDecisions.Load())
+		obs.WriteCounter(w, "adrias_serve_commits_total", "Deploying claims that won their commit (deploys = commits + commit downgrades).", e.commits.Load())
+		obs.WriteCounter(w, "adrias_serve_shard_decisions_total", "Placement decisions made by replica deciders (the engine's own is replica 0).", e.sloDecisions.Load())
 		obs.WriteCounter(w, "adrias_serve_shard_reclones_total", "Shard inference stacks re-cloned after a model promotion.", e.shardReclones.Load())
 		obs.WriteCounter(w, "adrias_serve_finalize_dups_total", "Double-finalize attempts on retry items caught by the claim guard.", e.dupFinalizes.Load())
 		e.shardMu.Lock()
@@ -911,7 +776,7 @@ func (e *SystemEngine) RegisterMetrics(m *Metrics) {
 			}
 		}
 		e.shardMu.Unlock()
-		obs.WriteCounter(w, "adrias_serve_decisions_total", "Placement decisions across all paths (engine + shards, dry runs included).", e.sloDecisions.Load())
+		obs.WriteCounter(w, "adrias_serve_decisions_total", "Placement decisions, dry runs included.", e.sloDecisions.Load())
 		obs.WriteCounter(w, "adrias_serve_downgrades_total", "Decisions downgraded to safe local by capacity, fabric, or commit pressure.", e.sloDowngrades.Load())
 		obs.WriteCounter(w, "adrias_serve_predict_failures_total", "Decisions produced by a failed or short-circuited prediction path.", e.sloPredictErrs.Load())
 		if v := e.view.Load(); v != nil {

@@ -157,16 +157,16 @@ func TestSystemEngineThroughService(t *testing.T) {
 	svc := NewService(eng, Config{MaxBatch: 32})
 	defer closeAll(t, svc)
 
-	// Hold the engine's lock while the requests are admitted: the batcher
-	// stalls inside its first PlaceBatch, the rest queue behind it, and the
-	// real engine then decides them as one coalesced batch.
+	// Hold the engine decider's lock while the requests are admitted: the
+	// batcher stalls inside its first PlaceBatch, the rest queue behind it,
+	// and the real engine then decides them as one coalesced batch.
 	apps := []string{"gmm", "pagerank", "redis", "wordcount", "kmeans"}
-	eng.mu.Lock()
+	eng.placeMu.Lock()
 	all := make([]*pending, 24)
 	for i := range all {
 		all[i] = admit(t, svc, context.Background(), PlaceRequest{App: apps[i%len(apps)], DryRun: true})
 	}
-	eng.mu.Unlock()
+	eng.placeMu.Unlock()
 	for i, p := range all {
 		if r := <-p.done; r.Err != nil || r.Reason == "" {
 			t.Errorf("place %d: %+v", i, r)

@@ -298,24 +298,25 @@ func newHotPathFixtureCfg(tb testing.TB, cfg EngineConfig) *hotPathFixture {
 		reqs:    make([]PlaceRequest, len(apps)),
 		results: make([]PlaceResult, len(apps)),
 	}
-	f.eng.orch.MaxDecisions = len(apps) // decision ring full after one batch
+	f.eng.decider.orch.MaxDecisions = len(apps) // decision ring full after one batch
 	for _, a := range apps {
 		f.bodies = append(f.bodies, []byte(`{"app":"`+a+`","dry_run":true}`))
 	}
 	return f
 }
 
-// perturbWindow nudges one cell of node 0's newest monitoring sample (up on
-// even k, back down on odd), so the next Watcher window differs by content
-// from the last one and the prediction memo misses — what a testbed tick
-// does to the window, without a tick's cost inside the timed loop.
+// perturbWindow nudges one cell of node 0's newest row in the published
+// monitoring window (up on even k, back down on odd), so the next batch's
+// window differs by content from the last one and the prediction memo
+// misses — what a testbed tick does to the window, without a tick's cost
+// inside the timed loop.
 func perturbWindow(e *SystemEngine, k int) {
-	h := e.cl.History()
+	w := e.view.Load().win[0]
 	d := 1.0
 	if k%2 == 1 {
 		d = -1
 	}
-	h[len(h)-1].Sample.LLCLoads += d
+	w[len(w)-1][0] += d
 }
 
 // runMiss is run against a window no batch has seen: every query goes

@@ -7,6 +7,9 @@
 // commit time, where a remote claim re-validates the pool it decided
 // against and losers retry from a bounded drop-oldest ring before
 // downgrading to the audited safe local tier (reason commit-conflict).
+// This is the only admission path: a one-replica service is N = 1, the
+// engine's own decider, where conflicts arise only from a tick between
+// decide and commit or from a batch overflowing the pool it decided on.
 package serve
 
 import (
@@ -87,16 +90,13 @@ const maxCommitRetries = 2
 // retryRingCap bounds the conflict-loser retry ring (drop-oldest past it).
 const retryRingCap = 256
 
-// retryItem is one optimistic claim in flight through commit: decided by a
-// shard, committed by the sequencer, on conflict re-decided from the ring.
-// done is closed exactly once, when res is final; the owning shard blocks
-// on it, so whichever goroutine finalized the item happens-before the read.
-type retryItem struct {
-	prof     *workload.Profile
-	d        core.Decision
-	traceID  string
-	batch    int
-	attempts int
+// claim is one decided placement on its way to the sinks: the decision, the
+// request identity, and where the answer goes.
+type claim struct {
+	prof    *workload.Profile
+	d       core.Decision
+	traceID string
+	batch   int
 	// gen/replica stamp the model generation that decided the claim and the
 	// 1-based shard that owns it, carried through to the audit record even
 	// when another replica's drain loop finalizes the item.
@@ -104,9 +104,18 @@ type retryItem struct {
 	replica int
 	// win is the monitoring window the decision saw (immutable snapshot
 	// rows), so a committed claim can register with the learning loop.
-	win  []mathx.Vector
-	res  *PlaceResult // the owner's result slot; written only by the finalizer
-	done chan struct{}
+	win []mathx.Vector
+	res *PlaceResult // the owner's result slot; written only by emit
+}
+
+// retryItem is one deploying claim in flight through commit: committed by
+// the sequencer, on conflict re-decided from the ring. done is closed
+// exactly once, when res is final; the owning shard blocks on it, so
+// whichever goroutine finalized the item happens-before the read.
+type retryItem struct {
+	claim
+	attempts int
+	done     chan struct{}
 	// finalized guards the deploy+publish+close sequence: eviction by a
 	// pusher and the work-steal drain are disjoint under the ring mutex
 	// today, but a close of an already-closed done would crash the whole
@@ -164,9 +173,8 @@ func (r *retryRing) pop() *retryItem {
 
 // engineShard is one placement replica: its own cloned inference stack and
 // orchestrator scratch over the shared rack state. Safe to run concurrently
-// with other shards and with the engine's own PlaceBatch; a single shard
-// serves one batch at a time (the service gives each replica goroutine its
-// own shard).
+// with other shards; a single shard serves one batch at a time (the engine's
+// own decider behind placeMu, each further service replica with its own).
 type engineShard struct {
 	id   int
 	eng  *SystemEngine
@@ -176,7 +184,7 @@ type engineShard struct {
 	base *core.SwappableInference
 
 	// gen is the model generation the shard's cloned stack was built from
-	// (1 when the learning loop is off). Atomic: the owning goroutine
+	// (0 when the learning loop is off). Atomic: the owning goroutine
 	// re-stamps it on re-clone while /metrics reads it per scrape.
 	gen atomic.Int64
 	// stale is the eager swap signal: recordSwap sets it the moment a
@@ -200,14 +208,16 @@ type engineShard struct {
 // is the loop's current live generation and the shard re-clones whenever a
 // promotion moves it (maybeReclone), so hot-swap propagates to every replica
 // within one batch.
-func (e *SystemEngine) NewShard(id int) Engine {
-	gen, pred := 1, e.orch.Pred
+func (e *SystemEngine) NewShard(id int) Engine { return e.newShard(id) }
+
+func (e *SystemEngine) newShard(id int) *engineShard {
+	gen, pred := 0, e.pred
 	if e.learner != nil {
 		gen, pred = e.learner.Live()
 	}
 	clone := pred.Clone()
 	orch := core.NewOrchestrator(clone, e.watch, e.cfg.Beta)
-	orch.QoSMs = e.orch.QoSMs // read-only after engine construction
+	orch.QoSMs = e.qosMs
 	s := &engineShard{id: id, eng: e, orch: orch}
 	s.base, orch.Infer = e.inferStack(clone)
 	s.gen.Store(int64(gen))
@@ -244,21 +254,32 @@ func (s *engineShard) maybeReclone() {
 	e.shardReclones.Add(1)
 }
 
-// PlaceBatch implements Engine for one replica: optimistic decide against
-// the published view (no engine lock), then a single sequencer commit for
-// the whole batch's claims; conflict losers resolve through the retry ring
-// before this returns, so results are always complete.
+// PlaceBatch implements Engine for one replica (see PlaceBatchInto).
 func (s *engineShard) PlaceBatch(ctx context.Context, reqs []PlaceRequest) []PlaceResult {
+	results := make([]PlaceResult, len(reqs))
+	s.PlaceBatchInto(ctx, reqs, results)
+	return results
+}
+
+// PlaceBatchInto is the one admission path: optimistic decide against the
+// published view (no engine lock), then a single sequencer commit for the
+// whole batch's deploying claims; conflict losers resolve through the retry
+// ring before this returns, so results[i] (caller-owned, len(reqs)) always
+// answers reqs[i]. All batch scratch lives on the shard: in steady state —
+// fixed batch shape, warm arenas, a quantized prediction path, decision ring
+// at its bound, no audit log or bus, and DryRun requests — a batch
+// allocates nothing; the bench-gate CI job pins that on the
+// decode→decide→encode benchmark.
+func (s *engineShard) PlaceBatchInto(ctx context.Context, reqs []PlaceRequest, results []PlaceResult) {
+	if len(results) != len(reqs) {
+		panic("serve: PlaceBatchInto output length mismatch")
+	}
 	e := s.eng
 	// Generation check once per decide batch: a promotion since the last
 	// batch re-clones the stack before deciding, so no batch is ever
 	// decided on a generation older than the one in flight at swap time.
 	s.maybeReclone()
 	gen := int(s.gen.Load())
-	if e.learner == nil {
-		gen = 0 // match the engine path: no loop, no generation stamp
-	}
-	results := make([]PlaceResult, len(reqs))
 	if cap(s.profiles) < len(reqs) {
 		s.profiles = make([]*workload.Profile, 0, len(reqs))
 		s.idx = make([]int, 0, len(reqs))
@@ -278,13 +299,12 @@ func (s *engineShard) PlaceBatch(ctx context.Context, reqs []PlaceRequest) []Pla
 	}
 	s.profiles, s.idx = profiles, idx
 	if len(profiles) == 0 {
-		return results
+		return
 	}
 
 	// Optimistic decide: one atomic load, no lock. The batch anchors to one
 	// candidate node — the healthiest remote pool by occupancy order — so it
-	// shares that node's history window and one Ŝ forecast, exactly like the
-	// single-node batched path.
+	// shares that node's history window and one Ŝ forecast.
 	view := e.view.Load()
 	node := pickNode(view)
 	ds := s.ds[:len(profiles)]
@@ -295,21 +315,20 @@ func (s *engineShard) PlaceBatch(ctx context.Context, reqs []PlaceRequest) []Pla
 	// through the sequencer as one batch.
 	items := s.items[:0]
 	for k, i := range idx {
-		if reqs[i].DryRun {
-			finalizeResult(&results[i], ds[k])
-			e.shardDecisions.Add(1)
-			e.auditShardDecision(reqs[i].TraceID, ds[k], len(profiles), gen, s.id+1)
-			continue
-		}
-		items = append(items, &retryItem{
+		c := claim{
 			prof: profiles[k], d: ds[k], traceID: reqs[i].TraceID,
 			batch: len(profiles), gen: gen, replica: s.id + 1,
-			win: view.win[node], res: &results[i], done: make(chan struct{}),
-		})
+			win: view.win[node], res: &results[i],
+		}
+		if reqs[i].DryRun {
+			e.emit(&c, nil)
+			continue
+		}
+		items = append(items, &retryItem{claim: c, done: make(chan struct{})})
 	}
 	s.items = items[:0] // keep capacity; items escape to the ring below
 	if len(items) == 0 {
-		return results
+		return
 	}
 	losers := e.commitClaims(items)
 
@@ -333,7 +352,6 @@ func (s *engineShard) PlaceBatch(ctx context.Context, reqs []PlaceRequest) []Pla
 			}
 		}
 	}
-	return results
 }
 
 func itemDone(it *retryItem) bool {
@@ -365,20 +383,19 @@ func pickNode(v *rackView) int {
 }
 
 // commitClaims is the single sequencer: one lock acquisition commits a
-// replica's whole batch of optimistic claims. A remote claim re-validates
-// its pool against the live node — failure means another replica consumed
-// the headroom since the view was published (every committed deploy bumps
-// the view version), i.e. the claim's version check lost; it is returned
-// as a conflict loser, unfinalized. Local claims always commit. The
-// occupancy view is republished once per committed batch.
+// batch of optimistic claims. A remote claim re-validates its pool against
+// the live node — failure means a deploy since the view was published
+// (every committed deploy bumps the view version) consumed the headroom,
+// i.e. the claim's version check lost; it is returned as a conflict loser,
+// unfinalized. Local claims always commit. The occupancy view is
+// republished once per committed batch.
 func (e *SystemEngine) commitClaims(items []*retryItem) []*retryItem {
 	var losers []*retryItem
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	committed := false
 	for _, it := range items {
-		c := e.nodes[it.d.Node]
-		if it.d.Tier == memsys.TierRemote && !c.CanFit(it.prof, memsys.TierRemote) {
+		if it.d.Tier == memsys.TierRemote && !e.nodes[it.d.Node].CanFit(it.prof, memsys.TierRemote) {
 			e.conflicts.Add(1)
 			losers = append(losers, it)
 			continue
@@ -387,11 +404,9 @@ func (e *SystemEngine) commitClaims(items []*retryItem) []*retryItem {
 			e.dupFinalizes.Add(1)
 			continue
 		}
-		in := c.Deploy(it.prof, it.d.Tier)
-		e.viewVer++
+		e.commits.Add(1)
+		e.deployLocked(it)
 		committed = true
-		e.learnPlacementLocked(it, in)
-		e.finalizeItemLocked(it)
 	}
 	if committed {
 		e.republishOccupancy()
@@ -399,64 +414,23 @@ func (e *SystemEngine) commitClaims(items []*retryItem) []*retryItem {
 	return losers
 }
 
-// learnPlacementLocked registers one committed shard claim with the online
-// learning loop so its realized outcome joins back to the decision — the
-// sharded counterpart of the engine path's per-batch OnBatch. Called under
-// mu, never on the dry-run path.
-func (e *SystemEngine) learnPlacementLocked(it *retryItem, in *workload.Instance) {
-	if e.learner == nil || in == nil || in.Profile.Class == workload.Interference || len(it.win) == 0 {
-		return
-	}
-	e.learner.OnBatch(it.win, []learn.Placement{{
-		InstID:    in.ID,
-		TraceID:   it.traceID,
-		App:       it.d.App,
-		Class:     in.Profile.Class,
-		Tier:      in.Tier, // the tier actually deployed, capacity fallbacks included
-		PredLocal: it.d.PredLocal,
-		PredRem:   it.d.PredRem,
-		Gen:       it.gen,
-	}})
-}
-
-// commitOne commits a single retried claim; reports whether it won.
-func (e *SystemEngine) commitOne(it *retryItem) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c := e.nodes[it.d.Node]
-	if it.d.Tier == memsys.TierRemote && !c.CanFit(it.prof, memsys.TierRemote) {
-		e.conflicts.Add(1)
-		return false
-	}
-	if !it.claimFinalize() {
-		e.dupFinalizes.Add(1)
-		return true // already resolved elsewhere; treat as won
-	}
-	in := c.Deploy(it.prof, it.d.Tier)
-	e.viewVer++
-	e.republishOccupancy()
-	e.learnPlacementLocked(it, in)
-	e.finalizeItemLocked(it)
-	return true
-}
-
 // processRetry resolves one conflict loser: re-decide the pool against the
 // refreshed view and recommit, up to maxCommitRetries attempts, then
 // downgrade to the safe local tier with reason commit-conflict. The item is
-// always finalized before this returns — it never re-enters the ring.
+// always finalized before this returns — it never re-enters the ring (a
+// claim finalized elsewhere meanwhile counts as won).
 func (s *engineShard) processRetry(it *retryItem) {
 	e := s.eng
 	for {
 		it.attempts++
 		e.commitRetries.Add(1)
-		view := e.View()
-		n := view.BestRemotePool(it.prof.FootprintGB)
+		n := e.View().BestRemotePool(it.prof.FootprintGB)
 		if n < 0 || it.attempts > maxCommitRetries {
 			e.downgradeLocal(it)
 			return
 		}
 		it.d.Node = n
-		if e.commitOne(it) {
+		if len(e.commitClaims([]*retryItem{it})) == 0 {
 			return
 		}
 	}
@@ -480,24 +454,73 @@ func (e *SystemEngine) downgradeLocal(it *retryItem) {
 	}
 	e.downgrades.Add(1)
 	e.mu.Lock()
-	in := e.nodes[it.d.Node].Deploy(it.prof, memsys.TierLocal)
-	e.viewVer++
+	e.deployLocked(it)
 	e.republishOccupancy()
-	e.learnPlacementLocked(it, in)
-	e.finalizeItemLocked(it)
 	e.mu.Unlock()
 }
 
-// finalizeItemLocked publishes a committed claim: result slot, audit log,
-// bus, wide event, then the done close that releases the owning shard.
-// Called under mu — only for real commits, so the wide-event record here
-// mirrors the engine path's emitted-at-deploy rule.
-func (e *SystemEngine) finalizeItemLocked(it *retryItem) {
-	finalizeResult(it.res, it.d)
-	e.shardDecisions.Add(1)
-	e.auditShardDecision(it.traceID, it.d, it.batch, it.gen, it.replica)
+// deployLocked deploys a claim whose finalization the caller won, emits it,
+// and closes done, releasing the owning shard. Called under mu.
+func (e *SystemEngine) deployLocked(it *retryItem) {
+	in := e.nodes[it.d.Node].Deploy(it.prof, it.d.Tier)
+	e.viewVer++
+	e.emit(&it.claim, in)
+	close(it.done)
+}
+
+// emit is the one place a final decision reaches its sinks: the owner's
+// result slot, the SLO counters, the audit log and the bus (all
+// concurrency-safe, stamped with the deciding shard's model generation and
+// 1-based replica id, on the lock-free SimNow mirror), and for a deployed
+// claim (in != nil, under mu) the wide event and the learning loop's join
+// record. A deploy may fall back to the other tier on capacity; every sink
+// then records the tier the instance runs on, in.Tier, with the decision's
+// reason. Dry runs (in == nil) reach neither the wide event nor the loop,
+// so the dry-run hot path stays allocation-free.
+func (e *SystemEngine) emit(it *claim, in *workload.Instance) {
+	d := &it.d
+	if in != nil {
+		d.Tier = in.Tier
+	}
+	r := it.res
+	r.Tier, r.Node, r.Reason = d.Tier, d.Node, d.Reason
+	r.PredLocalS, r.PredRemS = d.PredLocal, d.PredRem
+	r.ColdStart, r.Fallback = d.ColdStart, d.Fallback
+	e.countDecision(d.Reason)
+	if e.audit != nil {
+		e.audit.Record(obs.DecisionRecord{
+			TraceID:     it.traceID,
+			Time:        time.Now(),
+			SimTime:     e.SimNow(),
+			App:         d.App,
+			Class:       d.Class.String(),
+			Tier:        d.Tier.String(),
+			Node:        d.Node,
+			PredLocalS:  d.PredLocal,
+			PredRemoteS: d.PredRem,
+			Beta:        e.cfg.Beta,
+			QoSMs:       e.qosMs[d.App],
+			ColdStart:   d.ColdStart,
+			Fallback:    d.Fallback,
+			Reason:      d.Reason,
+			BatchSize:   it.batch,
+			ModelGen:    it.gen,
+			Replica:     it.replica,
+			SLOState:    e.sloStateLabel(),
+		})
+	}
+	if e.cfg.Bus != nil {
+		_, _ = e.cfg.Bus.Publish("orchestrator.decisions", decisionEvent{
+			TraceID: it.traceID, App: d.App, Class: d.Class.String(),
+			Tier: d.Tier.String(), Node: d.Node, PredLocal: d.PredLocal,
+			PredRem: d.PredRem, ColdStart: d.ColdStart, Reason: d.Reason,
+			ModelGen: it.gen,
+		})
+	}
+	if in == nil {
+		return
+	}
 	if e.events != nil {
-		d := it.d
 		e.events.Record(obs.WideEvent{
 			Kind:        "admission",
 			TraceID:     it.traceID,
@@ -517,55 +540,18 @@ func (e *SystemEngine) finalizeItemLocked(it *retryItem) {
 			SLOState:    e.sloStateLabel(),
 		})
 	}
-	close(it.done)
-}
-
-// finalizeResult copies a decision into a result slot (identity fields —
-// App, Class, TraceID — were set by the owning shard at admission).
-func finalizeResult(r *PlaceResult, d core.Decision) {
-	r.Tier = d.Tier
-	r.Node = d.Node
-	r.PredLocalS = d.PredLocal
-	r.PredRemS = d.PredRem
-	r.ColdStart = d.ColdStart
-	r.Fallback = d.Fallback
-	r.Reason = d.Reason
-}
-
-// auditShardDecision records one shard decision on the audit log, the SLO
-// counters, and the bus (all concurrency-safe), stamped with the deciding
-// shard's model generation and 1-based replica id. Uses the lock-free
-// SimNow mirror so dry-run finalizers need not take the engine lock.
-func (e *SystemEngine) auditShardDecision(traceID string, d core.Decision, batch, gen, replica int) {
-	e.countDecision(d.Reason)
-	if e.audit != nil {
-		e.audit.Record(obs.DecisionRecord{
-			TraceID:     traceID,
-			Time:        time.Now(),
-			SimTime:     e.SimNow(),
-			App:         d.App,
-			Class:       d.Class.String(),
-			Tier:        d.Tier.String(),
-			Node:        d.Node,
-			PredLocalS:  d.PredLocal,
-			PredRemoteS: d.PredRem,
-			Beta:        e.cfg.Beta,
-			QoSMs:       e.orch.QoSMs[d.App],
-			ColdStart:   d.ColdStart,
-			Fallback:    d.Fallback,
-			Reason:      d.Reason,
-			BatchSize:   batch,
-			ModelGen:    gen,
-			Replica:     replica,
-			SLOState:    e.sloStateLabel(),
-		})
-	}
-	if e.cfg.Bus != nil {
-		_, _ = e.cfg.Bus.Publish("orchestrator.decisions", decisionEvent{
-			TraceID: traceID, App: d.App, Class: d.Class.String(),
-			Tier: d.Tier.String(), Node: d.Node, PredLocal: d.PredLocal,
-			PredRem: d.PredRem, ColdStart: d.ColdStart, Reason: d.Reason,
-			ModelGen: gen,
-		})
+	if e.learner != nil && in.Profile.Class != workload.Interference {
+		// The window the decision saw; the loop clones it, and the shadow
+		// candidate, when active, predicts the same admission here.
+		e.learner.OnBatch(it.win, []learn.Placement{{
+			InstID:    in.ID,
+			TraceID:   it.traceID,
+			App:       d.App,
+			Class:     in.Profile.Class,
+			Tier:      in.Tier,
+			PredLocal: d.PredLocal,
+			PredRem:   d.PredRem,
+			Gen:       it.gen,
+		}})
 	}
 }

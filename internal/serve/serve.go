@@ -81,13 +81,12 @@ type Engine interface {
 }
 
 // ShardedEngine is an Engine that can mint per-replica deciders. Each shard
-// is an Engine safe to run concurrently with its siblings (typically by
-// deciding optimistically over a shared snapshot and committing through a
-// sequencer). NewShard may return nil when sharding is unavailable, in
-// which case the service falls back to routing that replica through the
-// shared engine. SystemEngine always shards: with the online learning loop
-// armed its shards are generation-aware, re-cloning from the promoted live
-// predictor within one batch of a hot swap (DESIGN.md §14).
+// is an Engine safe to run concurrently with its siblings and with the
+// engine itself (typically by deciding optimistically over a shared
+// snapshot and committing through a sequencer). The service's replica 0
+// uses the engine, replica i ≥ 1 NewShard(i). SystemEngine's shards are
+// generation-aware with the online learning loop armed, re-cloning from the
+// promoted live predictor within one batch of a hot swap (DESIGN.md §14).
 type ShardedEngine interface {
 	Engine
 	NewShard(id int) Engine
@@ -179,18 +178,16 @@ func newService(eng Engine, cfg Config, spacing time.Duration) *Service {
 		drained: make(chan struct{}),
 	}
 	s.met.queueDepth = func() int { return len(s.queue) }
-	// Replica batchers: each pulls from the shared admission queue with its
-	// own decider shard when the engine can mint one; otherwise replicas
-	// share eng (safe — engines serialize internally) and scale only the
-	// batching, not the inference. drained closes after every replica has
-	// finished its final drain sweep.
+	// Replica batchers: each pulls from the shared admission queue. Replica
+	// 0 decides through eng; the others get their own decider shard when the
+	// engine can mint one, and otherwise share eng (safe — engines serialize
+	// internally), scaling only the batching. drained closes after every
+	// replica has finished its final drain sweep.
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Replicas; i++ {
 		worker := eng
-		if sh, ok := eng.(ShardedEngine); ok && cfg.Replicas > 1 {
-			if shard := sh.NewShard(i); shard != nil {
-				worker = shard
-			}
+		if sh, ok := eng.(ShardedEngine); ok && i > 0 {
+			worker = sh.NewShard(i)
 		}
 		b := s.newBatcher(worker, spacing)
 		wg.Add(1)
@@ -307,7 +304,7 @@ func (s *Service) Close(ctx context.Context) error {
 // batch to batch: a batch is often one request, so its cost is per request.
 type batcher struct {
 	s   *Service
-	eng Engine // a per-replica shard, or the shared engine when sharding is unavailable
+	eng Engine // replica 0: the engine; others: their shard, or the engine when it cannot shard
 
 	batch, live []*pending
 	reqs        []PlaceRequest

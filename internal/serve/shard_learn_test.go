@@ -147,11 +147,11 @@ func TestRetryDoubleFinalizeGuard(t *testing.T) {
 	eng := lastSliceEngine(t, 61)
 	prof := registry.ByName("ibench-l3")
 	var res PlaceResult
-	it := &retryItem{
+	it := &retryItem{claim: claim{
 		prof: prof,
 		d:    core.Decision{App: prof.Name, Class: prof.Class, Tier: memsys.TierRemote},
-		res:  &res, done: make(chan struct{}),
-	}
+		res:  &res,
+	}, done: make(chan struct{})}
 	eng.downgradeLocal(it)
 	if !itemDone(it) {
 		t.Fatal("first finalize did not complete the item")

@@ -42,11 +42,11 @@ func TestCommitConflictDeterministic(t *testing.T) {
 	items := make([]*retryItem, R)
 	results := make([]PlaceResult, R)
 	for i := range items {
-		items[i] = &retryItem{
+		items[i] = &retryItem{claim: claim{
 			prof: prof,
 			d:    core.Decision{App: prof.Name, Class: prof.Class, Tier: memsys.TierRemote, ColdStart: true},
-			res:  &results[i], done: make(chan struct{}),
-		}
+			res:  &results[i],
+		}, done: make(chan struct{})}
 	}
 	losers := eng.commitClaims(items)
 	if len(losers) != R-1 {
@@ -85,7 +85,7 @@ func TestCommitConflictDeterministic(t *testing.T) {
 	if got := eng.downgrades.Load(); got != R-1 {
 		t.Errorf("downgrades = %d, want %d", got, R-1)
 	}
-	if got := eng.shardDecisions.Load(); got != R {
+	if got := eng.sloDecisions.Load(); got != R {
 		t.Errorf("shard decisions = %d, want %d", got, R)
 	}
 }
@@ -155,9 +155,10 @@ func TestShardHammerLastSlice(t *testing.T) {
 	if conflicts > R-1 {
 		t.Errorf("conflicts = %d, cannot exceed %d losers", conflicts, R-1)
 	}
-	if got := eng.shardDecisions.Load(); got != R {
+	if got := eng.sloDecisions.Load(); got != R {
 		t.Errorf("shard decisions = %d, want %d", got, R)
 	}
+	checkAdmissionInvariants(t, eng, R, R)
 	t.Logf("hammer: %d conflicts, %d retries, %d downgrades", conflicts, retries, downgrades)
 }
 
@@ -171,7 +172,7 @@ func TestRetryRingDropOldest(t *testing.T) {
 	items := make([]*retryItem, retryRingCap+extra)
 	var evicted []*retryItem
 	for i := range items {
-		items[i] = &retryItem{traceID: fmt.Sprint(i)}
+		items[i] = &retryItem{claim: claim{traceID: fmt.Sprint(i)}}
 		if ev := r.push(items[i]); ev != nil {
 			evicted = append(evicted, ev)
 		}
@@ -206,11 +207,11 @@ func TestRetryDropFinalizes(t *testing.T) {
 	eng := lastSliceEngine(t, 57)
 	prof := registry.ByName("ibench-l3")
 	var res PlaceResult
-	it := &retryItem{
+	it := &retryItem{claim: claim{
 		prof: prof,
 		d:    core.Decision{App: prof.Name, Class: prof.Class, Tier: memsys.TierRemote},
-		res:  &res, done: make(chan struct{}),
-	}
+		res:  &res,
+	}, done: make(chan struct{})}
 	// Simulate the pusher's eviction handling.
 	eng.retryDrops.Add(1)
 	eng.downgradeLocal(it)
@@ -280,6 +281,7 @@ func TestServiceReplicatedContention(t *testing.T) {
 			t.Errorf("/metrics missing %s", series)
 		}
 	}
+	checkAdmissionInvariants(t, eng, met.ReqOK.Load(), N)
 	t.Logf("contention: %d conflicts, %d retries, %d downgrades", conflicts, retries, downgrades)
 }
 

@@ -107,7 +107,7 @@ func BuildSLO(cfg SLOConfig, met *Metrics, eng *SystemEngine) (*obs.SLO, error) 
 			Budget: 0.1,
 			Source: func() (float64, float64) {
 				conflicts := eng.conflicts.Load()
-				return float64(conflicts), float64(eng.shardDecisions.Load() + conflicts)
+				return float64(conflicts), float64(eng.sloDecisions.Load() + conflicts)
 			},
 		},
 		{

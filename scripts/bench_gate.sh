@@ -17,7 +17,9 @@
 #     ≤ EVENTS_BUDGET× the bare quantized path (default 1.05 — within 5%);
 #   * the sharded placement tier scales: 4 replica deciders sustain
 #     ≥ MIN_SCALE× the single-replica throughput (default 2.5) on the
-#     BenchmarkPlaceThroughputR{1,2,4} series at -cpu=4. The scaling gate
+#     BenchmarkPlaceThroughputR{1,2,4} series at -cpu=4 (medians of six
+#     runs; R1 runs the same claim/commit decider as R2 and R4, since the
+#     engine's own admission path is its one-replica case). The scaling gate
 #     only applies when the bench box has ≥ 4 cores — replicas cannot
 #     outrun the clock on fewer — but the honest numbers (and the core
 #     count) are recorded either way;
@@ -55,6 +57,9 @@
 # scenario_run_bytes; and the replay's unit of work, one held-out scenario
 # all-local then under Adrias (BenchmarkReplayPair, 50 iterations), as the
 # median replay_pair_ms and its spread. All recorded, not gated.
+#
+# Every gate that does not apply on this box is named, with the reason, in
+# the JSON's "skipped" array.
 #
 # The serve hot-path benchmarks move the monitoring window before every batch,
 # so the gates above keep measuring inference, not the per-window prediction
@@ -108,10 +113,10 @@ go test -run='^$' -cpu=1 -benchtime=200x -count=6 \
 go test -run='^$' -cpu=1 -benchtime=50x -count=6 \
   -bench='^BenchmarkReplayPair$' . | tee -a "$med_txt"
 
-echo "== bench-gate: sharded placement throughput (replicas 1/2/4, -cpu=4) =="
-go test -run='^$' -cpu=4 -benchtime="$BENCHTIME" \
+echo "== bench-gate: sharded placement throughput (replicas 1/2/4, -cpu=4), median of 6 =="
+go test -run='^$' -cpu=4 -benchtime="$BENCHTIME" -count=6 -benchmem \
   -bench='^BenchmarkPlaceThroughputR(1|2|4|4Learn)$' \
-  ./internal/serve | tee -a "$bench_txt"
+  ./internal/serve | tee -a "$med_txt"
 
 echo "== bench-gate: simulated testbed (steady-state tick) =="
 go test -run='^$' -cpu=1 -benchtime="$BENCHTIME" \
@@ -133,11 +138,13 @@ awk -v out="$OUT" -v flip="$flip_rate" -v flip_budget="$FLIP_BUDGET" \
     -v events_budget="$EVENTS_BUDGET" -v learn_budget="$LEARN_BUDGET" \
     -v ncpu="$NCPU" '
 # The -count=6 runs: every ns/op kept for the median, the worst B/op and
-# allocs/op.
+# allocs/op. The placement-throughput series is also listed under
+# "benchmarks", with its medians.
 FILENAME == med {
   if ($0 !~ /^Benchmark/) next
   name = $1
   sub(/-[0-9]+$/, "", name)
+  if (name ~ /^BenchmarkPlaceThroughput/ && !(name in seen)) { seen[name] = 1; order[++n] = name; medrec[name] = 1 }
   for (i = 2; i <= NF; i++) {
     if ($i == "ns/op") mv[name, ++mc[name]] = $(i - 1) + 0
     if ($i == "B/op" && (!(name in mb) || $(i - 1) + 0 > mb[name])) mb[name] = $(i - 1) + 0
@@ -173,6 +180,14 @@ function ms(us) { return (us == "null") ? "null" : sprintf("%.3f", us / 1000) }
   if (!(name in seen)) { seen[name] = 1; order[++n] = name }
 }
 END {
+  # A placement-throughput op decides one batch of 8.
+  for (name in medrec) {
+    m = median_us(name)
+    ns[name] = (m == "null") ? "null" : sprintf("%.0f", m * 1000)
+    bop[name] = (name in mb) ? mb[name] : "null"
+    alloc[name] = (name in ma) ? ma[name] : "null"
+    if (m != "null" && m + 0 > 0) pls[name] = 8e6 / m
+  }
   printf "{\n  \"benchmarks\": {\n" > out
   for (i = 1; i <= n; i++) {
     name = order[i]
@@ -241,8 +256,6 @@ END {
   printf "  \"replay_pair_ms_spread\": [%s, %s],\n", ms(lo_us), ms(hi_us) > out
   ta = alloc["BenchmarkClusterTick12"]
   printf "  \"cluster_tick_allocs\": %s,\n", (ta == "") ? "null" : ta > out
-  printf "  \"bench_cpus\": %d\n}\n", ncpu > out
-  close(out)
 
   failed = 0
   gated["BenchmarkPerfPredictEachQuantB8"] = 1
@@ -270,7 +283,9 @@ END {
     printf "ok   BenchmarkDecideSingleMiss: 0 allocs/op over %d runs\n", mc["BenchmarkDecideSingleMiss"]
   }
   printf "note serve quant speedup %.2fx, predict %.2fx (recorded, not gated)\n", serve_speedup, predict_speedup
-  if (events_budget + 0 > 0) {
+  if (events_budget + 0 <= 0) {
+    skipped[++nskip] = "armed-observability overhead: EVENTS_BUDGET <= 0"
+  } else {
     if (events_overhead <= 0) {
       printf "FAIL armed-observability overhead could not be measured\n"; failed = 1
     } else if (events_overhead > events_budget + 0) {
@@ -283,7 +298,10 @@ END {
   }
   if (r1 <= 0 || r4 <= 0) {
     printf "FAIL place-throughput benchmarks did not report placements/s\n"; failed = 1
-  } else if (ncpu + 0 < 4 || min_scale + 0 <= 0) {
+  } else if (min_scale + 0 <= 0) {
+    skipped[++nskip] = "placement scaling: MIN_SCALE <= 0"
+  } else if (ncpu + 0 < 4) {
+    skipped[++nskip] = sprintf("placement scaling: %d core(s) < 4", ncpu)
     printf "skip placement scaling gate: %d core(s) < 4 (recorded r1=%.0f r2=%.0f r4=%.0f, scaling %.2fx)\n", \
       ncpu, r1, r2, r4, scale4
   } else if (scale4 < min_scale + 0) {
@@ -293,10 +311,13 @@ END {
     printf "ok   placement scaling %.2fx >= %.1fx (r1=%.0f r2=%.0f r4=%.0f placements/s)\n", \
       scale4, min_scale, r1, r2, r4
   }
-  if (learn_budget + 0 > 0) {
+  if (learn_budget + 0 <= 0) {
+    skipped[++nskip] = "learn-armed R4 overhead: LEARN_BUDGET <= 0"
+  } else {
     if (learn_overhead <= 0) {
       printf "FAIL learn-armed R4 overhead could not be measured\n"; failed = 1
     } else if (ncpu + 0 < 4) {
+      skipped[++nskip] = sprintf("learn-armed R4 overhead: %d core(s) < 4", ncpu)
       printf "skip learn-armed R4 gate: %d core(s) < 4 (recorded overhead %.3fx, r4learn=%.0f placements/s)\n", \
         ncpu, learn_overhead, r4l
     } else if (learn_overhead > learn_budget + 0) {
@@ -307,6 +328,11 @@ END {
         learn_overhead, learn_budget, r4l
     }
   }
+  printf "  \"skipped\": [" > out
+  for (i = 1; i <= nskip; i++) printf "%s\"%s\"", (i > 1 ? ", " : ""), skipped[i] > out
+  printf "],\n" > out
+  printf "  \"bench_cpus\": %d\n}\n", ncpu > out
+  close(out)
   exit failed
 }' "$med_txt" "$bench_txt"
 
